@@ -90,9 +90,7 @@ def test_peak_memory_bounded_by_tile_working_set(runner):
 
     tracemalloc.start()
     try:
-        result = scan_tiled(
-            dfa, data, plan=plan, tile_len=tile_len, compact=True
-        )
+        result = scan_tiled(dfa, data, plan=plan, tile_len=tile_len)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -152,7 +150,7 @@ def test_tiled_throughput_vs_pre_pr_engine(runner):
     old_matches = _pre_pr_engine(dfa, data, plan)
     t_old = time.perf_counter() - t0
     t0 = time.perf_counter()
-    result = scan_tiled(dfa, data, plan=plan, compact=True)
+    result = scan_tiled(dfa, data, plan=plan)
     t_tiled = time.perf_counter() - t0
     assert result.matches == old_matches  # byte-identical to the old engine
     speedup = t_old / t_tiled

@@ -30,6 +30,7 @@ from repro.bench.cpu_model import (
     SerialCost,
     serial_cost_from_histogram,
 )
+from repro.compress.backend import DEFAULT_BACKEND, cost_of, resolve_backend
 from repro.core.dfa import DFA
 from repro.core.tiled import DEFAULT_TILE_LEN, scan_tiled
 from repro.errors import ExperimentError
@@ -335,7 +336,7 @@ class ExperimentRunner:
         shared_chunk_bytes: int = 64,
         wave_correction: bool = False,
         tile_len: Optional[int] = None,
-        stt_backend: Optional[str] = None,
+        stt_backend: str = DEFAULT_BACKEND,
         mt_workers: int = 0,
         workers: int = 1,
         cell_cache_dir: Optional[str] = None,
@@ -351,8 +352,6 @@ class ExperimentRunner:
         #: counters are tile-invariant, so mutating it between runs is
         #: how the tile-size ablation shares one runner.
         self.tile_len = tile_len if tile_len is not None else DEFAULT_TILE_LEN
-        from repro.compress.backend import resolve_backend
-
         #: STT storage backend every GPU kernel of every cell gathers
         #: through (dense/compact/banded/bitmap).  Part of the cell
         #: cache key and of ``config_dict()`` so exported cells say
@@ -537,8 +536,6 @@ class ExperimentRunner:
     # -- building blocks ---------------------------------------------------
     def _stt_block(self, dfa: DFA) -> Dict[str, Any]:
         """The cell's ``stt`` storage-accounting block."""
-        from repro.compress.backend import cost_of
-
         table = dfa.gather_table(self.stt_backend)
         c = cost_of(dfa, table, self.stt_backend)
         ratio = (

@@ -29,6 +29,7 @@ from typing import List, Optional
 from repro.bench.calibrate import calibration_report
 from repro.bench.experiments import ABLATIONS, FIGURES, run_figure
 from repro.bench.runner import ExperimentRunner
+from repro.compress.backend import DEFAULT_BACKEND, STT_BACKENDS
 from repro.gpu.config import gtx285
 from repro.workload.datasets import PAPER_PATTERN_COUNTS, PAPER_SIZES
 
@@ -124,8 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "default 256 — results are identical for any value)",
     )
     m.add_argument(
-        "--stt-backend", default=None,
-        choices=["dense", "compact", "banded", "bitmap"],
+        "--stt-backend", default=DEFAULT_BACKEND, choices=STT_BACKENDS,
         help="STT storage backend the kernel gathers through (default: "
         "compact; matches are byte-identical for every choice, only "
         "the modeled memory footprint and per-fetch cost differ)",
@@ -217,10 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--scale", type=float, default=0.005)
     be.add_argument("--seed", type=int, default=2013)
     be.add_argument(
-        "--stt-backend", default=None,
-        choices=["dense", "compact", "banded", "bitmap"],
+        "--stt-backend", default=DEFAULT_BACKEND, choices=STT_BACKENDS,
         help="STT storage backend for every GPU kernel cell (default: "
-        "compact, the legacy behavior)",
+        "compact)",
     )
     be.add_argument(
         "--tile-len", type=int, default=None,
@@ -351,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument("--seed", type=int, default=2013)
     ps.add_argument(
-        "--stt-backend", default=None,
-        choices=["dense", "compact", "banded", "bitmap"],
+        "--stt-backend", default=DEFAULT_BACKEND, choices=STT_BACKENDS,
         help="STT storage backend for every GPU kernel (default compact)",
     )
     ps.add_argument("--tile-len", type=int, default=None,
@@ -1083,11 +1081,9 @@ def _cmd_match(args) -> int:
         "global": run_global_kernel,
         "pfac": run_pfac_kernel,
     }[args.kernel]
-    kwargs = {}
+    kwargs = {"stt_backend": args.stt_backend}
     if args.tile_len is not None and args.kernel in ("shared", "global"):
         kwargs["tile_len"] = args.tile_len
-    if args.stt_backend is not None:
-        kwargs["stt_backend"] = args.stt_backend
     result = kernel(dfa, text, tracer=tracer, **kwargs)
     from repro.analysis import event_report
 

@@ -1,10 +1,9 @@
-"""Pluggable STT gather backends (`stt_backend` knob).
+"""Pluggable STT gather backends (the `stt_backend` selector).
 
-The kernels' δ-gather historically knew two table layouts: the dense
-257-column STT and the alphabet-compacted table
-(:mod:`repro.core.compact`), selected by the boolean ``compact`` knob.
-This module generalizes that into a named *backend* registry so the
-compressed-table families plug into the same gather loop:
+A scan names the table its δ-gather reads with one string, resolved by
+:func:`resolve_backend`; every caller defaults to
+:data:`DEFAULT_BACKEND`.  The compressed-table families plug into the
+same gather loop as the two uncompressed layouts:
 
 ========== =========================================== ==================
 backend    representation                              per-fetch cost
@@ -16,9 +15,9 @@ backend    representation                              per-fetch cost
                                                        + fetch)
 ========== =========================================== ==================
 
-``dense`` and ``compact`` keep their existing fast paths inside
+``dense`` and ``compact`` run the fused column-major step inside
 :class:`~repro.core.tiled.GatherKernel`; ``banded`` and ``bitmap`` are
-wrapped in *gather adapters* exposing the same
+wrapped in *gather adapters* exposing the
 ``alloc(n)`` / ``step_into(state, symbols, out_row)`` protocol, which
 the kernel dispatches to by duck typing.  Every backend is
 byte-identical to the dense table for the automaton's transitions —
@@ -33,7 +32,6 @@ that the kernel pricing layer consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,19 +40,12 @@ from repro.errors import ReproError
 #: The canonical backend names, in increasing per-fetch cost order.
 STT_BACKENDS = ("dense", "compact", "banded", "bitmap")
 
-#: The legacy default: the boolean ``compact=True`` knob.
+#: The backend every scan, cache, kernel and CLI defaults to.
 DEFAULT_BACKEND = "compact"
 
 
-def resolve_backend(stt_backend: Optional[str], *, compact: bool = True) -> str:
-    """Canonical backend name for the (knob, legacy-flag) pair.
-
-    ``stt_backend=None`` preserves the pre-knob behaviour exactly:
-    ``compact=True`` → ``"compact"``, ``compact=False`` → ``"dense"``.
-    An explicit name wins over the flag.  Unknown names raise.
-    """
-    if stt_backend is None:
-        return "compact" if compact else "dense"
+def resolve_backend(stt_backend: str) -> str:
+    """Validate a backend name: one of :data:`STT_BACKENDS`, else raise."""
     if stt_backend not in STT_BACKENDS:
         raise ReproError(
             f"unknown stt_backend {stt_backend!r}; "
@@ -180,7 +171,7 @@ class BitmapGather:
 def build_gather_table(dfa, name: str):
     """The gather table/adapter for *name* over *dfa* (uncached).
 
-    Returns ``None`` for ``dense`` (the kernel's flat-view fast path),
+    Returns ``None`` for ``dense`` (the kernel's fused dense tables),
     the cached :class:`~repro.core.compact.CompactSTT` for ``compact``,
     and a fresh adapter for the compressed families.  Most callers want
     :meth:`repro.core.dfa.DFA.gather_table`, which memoizes per DFA.

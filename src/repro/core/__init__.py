@@ -25,7 +25,6 @@ from repro.core.integrity import (
     verify_row_checksums,
 )
 from repro.core.jit import jit_enabled, jit_requested, jit_status, numba_available
-from repro.core.lockstep import match_text_lockstep
 from repro.core.match import Match, MatchResult
 from repro.core.multicore import (
     MultiCoreMatcher,
@@ -91,7 +90,6 @@ __all__ = [
     "jit_requested",
     "jit_status",
     "numba_available",
-    "match_text_lockstep",
     "Match",
     "MatchResult",
     "PatternSet",

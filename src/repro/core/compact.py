@@ -107,7 +107,7 @@ class CompactSTT:
     automaton, just with a cache-resident footprint.
     """
 
-    __slots__ = ("class_map", "table", "flat", "_flat_small", "_fused")
+    __slots__ = ("class_map", "table", "flat", "_fused")
 
     def __init__(self, class_map: ByteClassMap, table: np.ndarray):
         table = np.ascontiguousarray(table, dtype=STATE_DTYPE)
@@ -119,28 +119,9 @@ class CompactSTT:
         table.setflags(write=False)
         self.class_map = class_map
         self.table = table
-        # Row-major flat view for the fused index gather
-        # (state * n_classes + class), shared by all tiled steppers.
+        # Row-major flat view (state * n_classes + class).
         self.flat = table.reshape(-1)
-        self._flat_small = None
         self._fused = {}
-
-    def flat_small(self) -> np.ndarray:
-        """Narrow flat view (uint16) when every state id fits, cached.
-
-        Every compacted entry is a state id, so machines under 2**16
-        states downcast losslessly; the tiled gather stages through
-        this to halve table traffic.  Falls back to the int32 flat
-        view for larger machines.
-        """
-        if self._flat_small is None:
-            if self.n_states <= 0xFFFF:
-                small = self.table.astype(np.uint16).reshape(-1)
-                small.setflags(write=False)
-                self._flat_small = small
-            else:
-                self._flat_small = self.flat
-        return self._flat_small
 
     def fused_tables(self, match_flags: np.ndarray, dtype):
         """Column-major fused gather tables for the compacted STT, cached.

@@ -60,7 +60,6 @@ class DFA:
         "patterns",
         "_compact",
         "_backends",
-        "_flat_small",
         "_fused_dense",
         "_digest",
         # Weak-referenceable so cache-eviction tests (and diagnostics)
@@ -83,7 +82,6 @@ class DFA:
         self.patterns = patterns
         self._compact = None
         self._backends = {}
-        self._flat_small = None
         self._fused_dense = {}
         self._digest = None
 
@@ -165,47 +163,23 @@ class DFA:
             self._compact = CompactSTT.from_dfa(self)
         return self._compact
 
-    def gather_table(self, stt_backend: str = "compact"):
+    def gather_table(self, stt_backend: str):
         """The gather table/adapter for a named STT backend, memoized.
 
-        ``dense`` returns ``None`` (the kernels' flat-view fast path),
-        ``compact`` the cached :meth:`compact_stt`; ``banded`` and
-        ``bitmap`` build their compressed table once per DFA and cache
-        the adapter (see :mod:`repro.compress.backend`).  Every backend
-        realizes the same transition function exactly — they differ
-        only in modeled fetch cost and footprint.
+        ``dense`` returns ``None`` (the kernels gather through
+        :meth:`dense_fused_tables`), ``compact`` the cached
+        :meth:`compact_stt`; ``banded`` and ``bitmap`` build their
+        compressed table once per DFA and cache the adapter (see
+        :mod:`repro.compress.backend`).  Every backend realizes the
+        same transition function exactly — they differ only in modeled
+        fetch cost and footprint.
         """
         from repro.compress.backend import build_gather_table, resolve_backend
 
         name = resolve_backend(stt_backend)
-        if name == "dense":
-            return None
-        if name == "compact":
-            return self.compact_stt()
-        table = self._backends.get(name)
-        if table is None:
-            table = build_gather_table(self, name)
-            self._backends[name] = table
-        return table
-
-    def dense_flat_small(self) -> np.ndarray:
-        """Narrow flat view of the dense STT, built once and cached.
-
-        Every table entry is a state id (``< n_states``) or a 0/1
-        match flag, so machines under 2**16 states fit the whole table
-        in uint16 — the tiled gather stages through it to halve table
-        traffic.  Larger machines get the plain int32 flat view; the
-        gathered *values* are identical either way.
-        """
-        if self._flat_small is None:
-            table = self.stt.table
-            if self.n_states <= 0xFFFF:
-                small = np.ascontiguousarray(table, dtype=np.uint16).reshape(-1)
-                small.setflags(write=False)
-                self._flat_small = small
-            else:
-                self._flat_small = table.reshape(-1)
-        return self._flat_small
+        if name not in self._backends:
+            self._backends[name] = build_gather_table(self, name)
+        return self._backends[name]
 
     def dense_fused_tables(self, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Column-major fused gather tables for the dense STT, cached.

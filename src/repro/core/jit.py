@@ -1,11 +1,10 @@
 """Optional numba-compiled host fast path, behind ``REPRO_JIT=1``.
 
-The tiled engine's hot loops (:meth:`repro.core.tiled.GatherKernel.step`
-and its fused column-major twin
-:meth:`~repro.core.tiled.GatherKernel.step_fused`),
-the bitmap backend's popcount-rank failure-chain walk
-(:meth:`repro.compress.bitmap.BitmapDeltaSTT.walk_next_states`), and the
-streaming matcher's small-feed scalar walk
+The tiled engine's fused column-major gather
+(:meth:`repro.core.tiled.GatherKernel.step_fused`), the bitmap
+backend's popcount-rank failure-chain walk
+(:meth:`repro.compress.bitmap.BitmapDeltaSTT.walk_next_states`), and
+the streaming matcher's small-feed scalar walk
 (:meth:`repro.core.streaming.StreamMatcher._feed_small`) are the
 python-dispatch-bound loops left in the simulator.  When the ``REPRO_JIT``
 environment variable is ``1`` *and* numba is importable, all of them route
@@ -163,6 +162,8 @@ def _build_kernels() -> Optional[dict]:
                 states_seq[i] = state
             return state
 
+        # The row-major pair serves only the frozen pre-fused engine
+        # that benchmarks/test_engine_speedup.py compares against.
         return {
             "gather_step_dense": gather_step_dense,
             "gather_step_compact": gather_step_compact,

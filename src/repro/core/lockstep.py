@@ -1,24 +1,24 @@
-"""Vectorized lockstep execution of the AC DFA over many chunks.
+"""Monolithic lockstep execution of the AC DFA: the reference engine.
 
 On the GPU, every thread of a warp executes the same instruction on its
 own chunk (SIMD/SIMT, paper Section III).  This module reproduces that
-execution shape in NumPy: all threads advance one input byte per step,
-so the functional simulation is a loop over *steps* whose body is a
-single fancy-indexing gather — O(total bytes) work with NumPy-level
-constant factors instead of per-byte Python.
+execution shape in NumPy at its plainest: all threads advance one input
+byte per step through the dense STT (``dfa.stt.table[state, byte]``),
+and the whole ``(window_len, n_threads)`` state trace is materialized
+before matches are extracted.
 
-The lockstep run yields both the *matches* (functional result) and the
-*trace* the GPU substrate needs to price the run: which STT rows were
-fetched at each step (texture traffic) and which chunk bytes were read
-(shared/global traffic).  Keeping functional execution and timing in
-one pass means the performance model is driven by the run's real
-access pattern, not by synthetic assumptions.
+Production scans use the tiled engine (:mod:`repro.core.tiled`), which
+streams the same lockstep run in fixed-size step tiles through a fused
+gather.  :func:`run_dfa_lockstep` and :func:`extract_matches` share no
+gather code with it on purpose: ``tests/core/test_tiled.py`` checks the
+tiled engine against this reference, trace for trace and match for
+match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -87,19 +87,14 @@ class LockstepTrace:
 
 
 def run_dfa_lockstep(
-    dfa: DFA,
-    windows: np.ndarray,
-    plan: ChunkPlan,
-    *,
-    table=None,
+    dfa: DFA, windows: np.ndarray, plan: ChunkPlan
 ) -> LockstepTrace:
     """Advance every chunk through the DFA one byte per step.
 
-    Thin adapter over the tiled engine's δ-gather: the full trace is
-    still materialized (this is the trace-retaining API; large scans
-    should use :func:`repro.core.tiled.scan_tiled` instead), but the
-    per-step gather runs through preallocated buffers in one dtype —
-    no per-step temporaries, no int32→int64 ``astype`` round trip.
+    The plain dense lookup, one fancy-indexing gather per step with the
+    full trace materialized — the reference the tiled engine is tested
+    against, not a scan path (large scans use
+    :func:`repro.core.tiled.scan_tiled`).
 
     Parameters
     ----------
@@ -110,23 +105,18 @@ def run_dfa_lockstep(
         :func:`repro.core.chunking.build_windows`.
     plan:
         Chunk geometry (for validity masking).
-    table:
-        Optional :class:`~repro.core.compact.CompactSTT` to gather
-        through instead of the dense STT (exactly equivalent).
 
     Returns
     -------
     LockstepTrace
     """
-    from repro.core.tiled import GatherKernel
-
     window_len, n_threads = windows.shape
-    gather = GatherKernel(dfa, table)
-    gather.alloc(n_threads)
+    table = dfa.stt.table
     states_after = np.empty((window_len, n_threads), dtype=STATE_DTYPE)
-    state = np.zeros(n_threads, dtype=np.int64)
+    state = np.full(n_threads, ROOT, dtype=np.int64)
     for j in range(window_len):
-        gather.step(state, windows[j], states_after[j])
+        state = table[state, windows[j]]
+        states_after[j] = state
 
     positions = plan.starts[None, :] + np.arange(window_len, dtype=np.int64)[:, None]
     valid = positions < plan.n
@@ -170,31 +160,3 @@ def extract_matches(dfa: DFA, trace: LockstepTrace) -> Tuple[MatchResult, int]:
         plan, exp_threads, exp_ends, dfa.pattern_lengths[exp_pids]
     )
     return MatchResult(exp_ends[own], exp_pids[own]), raw_hits
-
-
-def match_text_lockstep(
-    dfa: DFA,
-    data: np.ndarray,
-    chunk_len: int,
-    overlap: Optional[int] = None,
-    *,
-    tile_len: Optional[int] = None,
-    compact: bool = True,
-) -> MatchResult:
-    """Convenience: plan chunks, scan tiled, extract — one call.
-
-    Streams through the tiled engine (peak memory O(n_threads × tile),
-    not O(input)); *overlap* defaults to the tight value (longest
-    pattern − 1) and ``compact`` gathers through the alphabet-compacted
-    table (exactly equivalent, faster).
-    """
-    from repro.core.tiled import DEFAULT_TILE_LEN, scan_tiled
-
-    return scan_tiled(
-        dfa,
-        data,
-        chunk_len=chunk_len,
-        overlap=overlap,
-        tile_len=tile_len if tile_len is not None else DEFAULT_TILE_LEN,
-        compact=compact,
-    ).matches

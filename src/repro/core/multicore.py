@@ -32,6 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.alphabet import BytesLike, encode
 from repro.core.chunking import plan_chunks, required_overlap
 from repro.core.dfa import DFA
@@ -97,7 +98,6 @@ def scan_multicore(
     workers: int = 0,
     chunk_len: int = DEFAULT_MC_CHUNK,
     tile_len: int = DEFAULT_TILE_LEN,
-    compact: bool = True,
 ) -> MultiCoreScanResult:
     """Chunk-parallel multicore scan, byte-identical to the serial scan.
 
@@ -130,7 +130,8 @@ def scan_multicore(
     max_len = int(dfa.patterns.max_length)
     overlap = required_overlap(max_len)
     plan = _slab_plan(n, workers, overlap)
-    table = dfa.compact_stt() if compact else None
+    # Build the shared gather table once, before the workers need it.
+    dfa.gather_table(DEFAULT_BACKEND)
     lengths = dfa.pattern_lengths
 
     def scan_slab(w: int) -> WorkerStats:
@@ -145,8 +146,6 @@ def scan_multicore(
             chunk_len=chunk_len,
             overlap=overlap,
             tile_len=tile_len,
-            compact=False,
-            table=table,
         )
         ends = res.matches.ends + s
         pids = res.matches.pattern_ids
@@ -203,7 +202,7 @@ class MultiCoreMatcher:
     [(5, 0), (9, 0)]
     """
 
-    __slots__ = ("dfa", "workers", "chunk_len", "tile_len", "compact")
+    __slots__ = ("dfa", "workers", "chunk_len", "tile_len")
 
     def __init__(
         self,
@@ -212,7 +211,6 @@ class MultiCoreMatcher:
         workers: int = 0,
         chunk_len: int = DEFAULT_MC_CHUNK,
         tile_len: int = DEFAULT_TILE_LEN,
-        compact: bool = True,
     ):
         if workers < 0:
             raise ChunkingError(f"workers must be >= 0, got {workers}")
@@ -220,7 +218,6 @@ class MultiCoreMatcher:
         self.workers = workers or _auto_workers()
         self.chunk_len = chunk_len
         self.tile_len = tile_len
-        self.compact = compact
 
     def scan(self, data: BytesLike) -> MatchResult:
         """Scan *data*; returns the match set only."""
@@ -234,7 +231,6 @@ class MultiCoreMatcher:
             workers=self.workers,
             chunk_len=self.chunk_len,
             tile_len=self.tile_len,
-            compact=self.compact,
         )
 
 

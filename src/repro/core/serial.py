@@ -25,8 +25,8 @@ import numpy as np
 
 from repro.core.alphabet import BytesLike, MATCH_COLUMN, encode
 from repro.core.dfa import DFA
-from repro.core.lockstep import match_text_lockstep
 from repro.core.match import MatchResult
+from repro.core.tiled import StateVisitHistogram, scan_tiled
 from repro.core.trie import ROOT
 
 #: Default chunk length for the vectorized serial matcher.  Large
@@ -60,15 +60,16 @@ def match_serial(
     """Production serial matcher (vectorized, exact).
 
     Semantically identical to :func:`match_serial_python`; implemented
-    via chunked lockstep so a single CPU core processes megabytes per
-    second in pure NumPy.  The chunking is an implementation detail of
-    the *functional* scan — the serial *timing model* charges the run
-    as one sequential pass (no parallel credit).
+    as one tiled lockstep scan (:func:`repro.core.tiled.scan_tiled`) so
+    a single CPU core processes megabytes per second in pure NumPy.
+    The chunking is an implementation detail of the *functional* scan —
+    the serial *timing model* charges the run as one sequential pass
+    (no parallel credit).
     """
     data = encode(text, name="text")
     if data.size == 0:
         return MatchResult.empty()
-    return match_text_lockstep(dfa, data, chunk_len=chunk_len)
+    return scan_tiled(dfa, data, chunk_len=chunk_len).matches
 
 
 #: Canonical name for the single-core scan: the multicore matcher
@@ -89,8 +90,6 @@ def serial_state_histogram(
     restarts at the root, perturbing at most ``overlap`` fetches per
     chunk).
     """
-    from repro.core.tiled import StateVisitHistogram, scan_tiled
-
     data = encode(text, name="text")
     if data.size == 0:
         return np.zeros(dfa.n_states, dtype=np.int64)

@@ -167,9 +167,7 @@ class StreamMatcher:
         lengths = dfa.pattern_lengths
         ends_parts: List[np.ndarray] = []
         pids_parts: List[np.ndarray] = []
-        for tile in iter_dfa_tiles(
-            dfa, arr, plan, table=dfa.compact_stt(), init_states=init
-        ):
+        for tile in iter_dfa_tiles(dfa, arr, plan, init_states=init):
             hit = (flags[tile.states_after] != 0) & tile.valid
             j_idx, t_idx = np.nonzero(hit)
             if j_idx.size == 0:

@@ -51,12 +51,11 @@ from typing import Iterator, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from repro.core.alphabet import STATE_DTYPE, STT_COLUMNS
+from repro.compress.backend import DEFAULT_BACKEND
+from repro.core.alphabet import STATE_DTYPE
 from repro.core.chunking import ChunkPlan, ownership_mask, plan_chunks, required_overlap
-from repro.core.compact import CompactSTT
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
-from repro.core.trie import ROOT
 from repro.errors import ChunkingError
 
 #: Default steps per tile.  Large enough to amortize per-tile Python
@@ -68,7 +67,7 @@ DEFAULT_TILE_LEN = 256
 #: Default owned bytes per lockstep thread for full-text scans.
 DEFAULT_CHUNK_LEN = 4096
 
-#: State buffers (and the flat gather tables) downcast to uint16 when
+#: State buffers (and the fused gather tables) downcast to uint16 when
 #: the DFA has fewer states than this.  Tests monkeypatch it to force
 #: the wide path on small machines.
 U16_STATE_LIMIT = 1 << 16
@@ -123,150 +122,68 @@ def clear_tile_buffer_pool() -> None:
 
 
 class GatherKernel:
-    """Zero-allocation δ-gather over a flat transition table.
+    """Zero-allocation δ-gather for one step row of the lockstep scan.
 
-    One fused flat-index gather per step — ``flat[state * ncols + col]``
-    — through preallocated int64 index buffers, so the hot loop
-    allocates nothing.  For DFAs under :data:`U16_STATE_LIMIT` states
-    the flat table is the cached uint16 downcast
-    (:meth:`repro.core.dfa.DFA.dense_flat_small` /
-    :meth:`repro.core.compact.CompactSTT.flat_small`), halving table
-    traffic without changing a single gathered value.
+    ``dense`` and ``compact`` tables gather through the fused
+    column-major layout (:meth:`step_fused`): the gather table is
+    transposed so the per-step flat index is ``cls_lut[byte] + state``
+    — one LUT take and one add, no multiply — and the target state's
+    match flag sits in an index-aligned bool table, so the match test
+    costs one extra take on the *same* index.  ``dfa`` supplies the
+    dense tables (:meth:`repro.core.dfa.DFA.dense_fused_tables`) when
+    ``table`` is None, a :class:`~repro.core.compact.CompactSTT` its
+    own (:meth:`~repro.core.compact.CompactSTT.fused_tables`).  Both
+    are staged in :func:`tile_state_dtype`, so machines under
+    :data:`U16_STATE_LIMIT` states gather uint16 values.
 
-    Under ``REPRO_JIT=1`` (and with numba importable) the step runs a
-    compiled ``nogil`` loop from :mod:`repro.core.jit` instead — same
-    gather, identical output, pinned by ``tests/core/test_jit.py`` —
-    falling back to the NumPy path automatically otherwise.
+    Under ``REPRO_JIT=1`` (and with numba importable) the fused step
+    runs a compiled ``nogil`` loop from :mod:`repro.core.jit` instead —
+    same gather, identical output, pinned by ``tests/core/test_jit.py``
+    — falling back to the NumPy path automatically otherwise.
 
     ``table`` may also be a gather *adapter* (an object exposing
     ``alloc(n)`` / ``step_into(state, symbols, out_row)`` — see
-    :mod:`repro.compress.backend`); the step then delegates to it,
+    :mod:`repro.compress.backend`); :meth:`step` then delegates to it,
     which is how the banded and bitmap compressed backends plug in
     without this module importing them.
     """
 
     __slots__ = (
-        "flat",
-        "ncols",
-        "class_of",
-        "adapter",
-        "row_dtype",
-        "col_flat",
-        "cls_lut",
-        "flag_flat",
-        "_src",
-        "_ncols_i64",
-        "_idx",
-        "_sym",
-        "_res",
-        "_jit",
+        "adapter", "row_dtype", "col_flat", "cls_lut", "flag_flat", "_sym", "_jit"
     )
 
-    def __init__(self, dfa: DFA, table: Optional[CompactSTT] = None):
+    def __init__(self, dfa: DFA, table=None):
         from repro.core.jit import jit_kernels
 
         self._jit = jit_kernels()
-        self.adapter = None
-        self._src = (dfa, table)
-        self.col_flat = None
-        self.cls_lut = None
-        self.flag_flat = None
-        small = dfa.n_states < U16_STATE_LIMIT
-        if table is None:
-            # Dense path: flat row-major view of the full 257-column
-            # table; symbols < 256 never index the match column.
-            self.flat = (
-                dfa.dense_flat_small() if small else dfa.stt.table.reshape(-1)
-            )
-            self.ncols = STT_COLUMNS
-            self.class_of = None
-        elif hasattr(table, "step_into"):
-            self.adapter = table
-            self.flat = None
-            self.ncols = 0
-            self.class_of = None
-        else:
-            self.flat = table.flat_small() if small else table.flat
-            self.ncols = table.n_classes
-            self.class_of = table.class_of
-        self.row_dtype = (
-            self.flat.dtype
-            if self.flat is not None
-            else (np.dtype(np.uint16) if small else np.dtype(STATE_DTYPE))
-        )
-        # int64 scalar: forces the flat-index arithmetic to promote to
-        # int64 even when the state rows are uint16 (a bare python int
-        # would let NumPy compute — and overflow — in uint16).
-        self._ncols_i64 = np.int64(self.ncols)
-        self._idx = None
         self._sym = None
-        self._res = None
+        self.row_dtype = tile_state_dtype(dfa)
+        self.adapter = table if hasattr(table, "step_into") else None
+        self.col_flat = self.cls_lut = self.flag_flat = None
+        if self.adapter is None:
+            if table is None:
+                fused = dfa.dense_fused_tables(self.row_dtype)
+            else:
+                fused = table.fused_tables(dfa.stt.match_flags, self.row_dtype)
+            self.col_flat, self.cls_lut, self.flag_flat = fused
 
     def alloc(self, n_threads: int) -> None:
         """Size the per-step scratch buffers for *n_threads* lanes."""
         if self.adapter is not None:
             self.adapter.alloc(n_threads)
             return
-        self._idx = np.empty(n_threads, dtype=np.int64)
-        self._res = np.empty(n_threads, dtype=self.flat.dtype)
-        # The fused column-major step always stages its index in _sym.
+        # The fused step stages its flat index in _sym.
         self._sym = np.empty(n_threads, dtype=np.int64)
-
-    def ensure_fused(self) -> bool:
-        """Build (or fetch cached) column-major fused tables; False for adapters.
-
-        The fused layout transposes the gather table so the per-step
-        flat index is ``cls_lut[byte] + state`` — one LUT take and one
-        add, no multiply — and carries the target state's match flag
-        in an index-aligned bool table, so the match test costs one
-        extra take on the *same* index instead of a separate per-tile
-        gather pass.
-        """
-        if self.adapter is not None:
-            return False
-        if self.col_flat is None:
-            dfa, table = self._src
-            dt = self.row_dtype
-            if table is None:
-                self.col_flat, self.cls_lut, self.flag_flat = (
-                    dfa.dense_fused_tables(dt)
-                )
-            else:
-                self.col_flat, self.cls_lut, self.flag_flat = table.fused_tables(
-                    dfa.stt.match_flags, dt
-                )
-        return True
 
     def step(
         self, state: np.ndarray, symbols: np.ndarray, out_row: np.ndarray
     ) -> None:
-        """Advance ``state`` (int64, in place) by one symbol row.
+        """Adapter step: advance ``state`` (int64, in place) by one row.
 
         ``out_row`` receives the post-step states (any integer dtype
         wide enough for the state ids).
         """
-        if self.adapter is not None:
-            self.adapter.step_into(state, symbols, out_row)
-            return
-        if self._jit is not None:
-            if self.class_of is None:
-                self._jit["gather_step_dense"](
-                    self.flat, self.ncols, state, symbols, out_row
-                )
-            else:
-                self._jit["gather_step_compact"](
-                    self.flat, self.ncols, self.class_of, state, symbols, out_row
-                )
-            return
-        np.multiply(state, self._ncols_i64, out=self._idx)
-        if self.class_of is None:
-            np.add(self._idx, symbols, out=self._idx)
-        else:
-            np.take(self.class_of, symbols, out=self._sym)
-            np.add(self._idx, self._sym, out=self._idx)
-        np.take(self.flat, self._idx, out=self._res)
-        np.copyto(state, self._res)
-        out_row[...] = self._res
+        self.adapter.step_into(state, symbols, out_row)
 
     def step_fused(
         self,
@@ -284,11 +201,12 @@ class GatherKernel:
         tile state buffer afterwards); ``out_row`` must have the fused
         table's dtype so the gather lands without a cast.  When
         ``hit_row`` (bool) is given, the target states' match flags are
-        gathered through the *same* staged index — the per-tile flag
-        pass of the row-major engine becomes one extra take per step.
+        gathered through the *same* staged index — one extra take per
+        step, not a separate per-tile flag pass.
 
-        Requires a prior :meth:`ensure_fused`; under ``REPRO_JIT=1``
-        the whole row runs as one compiled ``nogil`` loop.
+        Fused kernels only (``adapter`` is None); under
+        ``REPRO_JIT=1`` the whole row runs as one compiled ``nogil``
+        loop.
         """
         if self._jit is not None:
             if hit_row is None:
@@ -371,7 +289,7 @@ def iter_dfa_tiles(
     plan: ChunkPlan,
     *,
     tile_len: int = DEFAULT_TILE_LEN,
-    table: Optional[CompactSTT] = None,
+    stt_backend: str = DEFAULT_BACKEND,
     init_states: Optional[np.ndarray] = None,
     want_windows: bool = False,
     want_fetched: bool = False,
@@ -385,7 +303,11 @@ def iter_dfa_tiles(
     each tile is one transpose copy of a strided view into the input
     (**zero** position arithmetic); irregular plans fall back to one
     clipped 2-D take per tile — so nothing proportional to the input
-    is ever copied.  ``init_states`` seeds the per-thread carry-in
+    is ever copied.  ``stt_backend`` names the table the δ-gather
+    reads (see :mod:`repro.compress.backend`; resolved through the
+    DFA's memoized :meth:`~repro.core.dfa.DFA.gather_table`, so every
+    backend gathers the same transition function).
+    ``init_states`` seeds the per-thread carry-in
     state (default: all ROOT) — the streaming matcher uses it to
     thread its inter-feed state through lane 0.  ``want_hits``
     requests per-cell match flags, gathered inside the fused step;
@@ -412,9 +334,9 @@ def iter_dfa_tiles(
     uniform = nt < 2 or bool(np.all(diffs == diffs[0]))
     stride = int(diffs[0]) if nt > 1 else 0
 
-    gather = GatherKernel(dfa, table)
+    gather = GatherKernel(dfa, dfa.gather_table(stt_backend))
     gather.alloc(nt)
-    use_fused = gather.ensure_fused()
+    use_fused = gather.adapter is None
     state = np.zeros(nt, dtype=np.int64)
     if init_states is not None:
         if init_states.shape != (nt,):
@@ -571,9 +493,7 @@ def scan_tiled(
     chunk_len: int = DEFAULT_CHUNK_LEN,
     overlap: Optional[int] = None,
     tile_len: int = DEFAULT_TILE_LEN,
-    compact: bool = True,
-    table: Optional[CompactSTT] = None,
-    stt_backend: Optional[str] = None,
+    stt_backend: str = DEFAULT_BACKEND,
     sinks: Sequence = (),
 ) -> TiledScanResult:
     """Full tiled scan: plan, tile, extract matches, feed sinks.
@@ -584,23 +504,15 @@ def scan_tiled(
     method; a sink class sets ``needs_windows`` / ``needs_fetched``
     to request those tile fields.
 
-    ``compact=True`` (default) gathers through the DFA's cached
-    alphabet-compacted table — exactly equivalent and markedly faster
-    once the dense STT outgrows cache; pass ``table`` to supply a
-    prebuilt :class:`~repro.core.compact.CompactSTT` instead, or name
-    any registered backend via ``stt_backend`` (``dense | compact |
-    banded | bitmap`` — see :mod:`repro.compress.backend`), which wins
-    over the boolean flag.
+    ``stt_backend`` (``dense | compact | banded | bitmap`` — see
+    :mod:`repro.compress.backend`) names the table the δ-gather reads;
+    the default ``compact`` table is exactly equivalent to the dense
+    STT and markedly faster once the dense STT outgrows cache.
     """
     if plan is None:
         if overlap is None:
             overlap = required_overlap(dfa.patterns.max_length)
         plan = plan_chunks(data.size, chunk_len, overlap)
-    if table is None:
-        if stt_backend is not None:
-            table = dfa.gather_table(stt_backend)
-        elif compact:
-            table = dfa.compact_stt()
 
     want_windows = any(getattr(s, "needs_windows", False) for s in sinks)
     want_fetched = any(getattr(s, "needs_fetched", False) for s in sinks)
@@ -625,7 +537,7 @@ def scan_tiled(
         data,
         plan,
         tile_len=tile_len,
-        table=table,
+        stt_backend=stt_backend,
         want_windows=want_windows,
         want_fetched=want_fetched,
         want_hits=True,

@@ -539,16 +539,18 @@ def scan_segment(
         return seg
 
     line_bytes = config.texture_cache.line_bytes
-    table = dfa.gather_table(backend)
     hist = TextureLineHistogram(dfa.n_states, line_bytes)
     sinks = [hist] if extra_sink is None else [hist, extra_sink]
-    # Chain/lookup counters are cumulative on the (cached) adapter;
-    # snapshot around the functional pass so the recorded cost covers
-    # exactly this scan (the classifier re-pass below is excluded).
+    # Chain/lookup counters are cumulative on the adapter the DFA
+    # memoizes (the one the scans below gather through); snapshot
+    # around the functional pass so the recorded cost covers exactly
+    # this scan (the classifier re-pass below is excluded).
+    table = dfa.gather_table(backend)
     before = cost_of(dfa, table, backend)
     with tracer.span("ownership_filter") as sp:
         outcome = scan_tiled(
-            dfa, arr, plan=plan, tile_len=tile_len, table=table, sinks=sinks
+            dfa, arr, plan=plan, tile_len=tile_len, stt_backend=backend,
+            sinks=sinks,
         )
         sp.set(raw_hits=outcome.raw_hits, matches=len(outcome.matches))
     after = cost_of(dfa, table, backend)
@@ -560,7 +562,7 @@ def scan_segment(
         arr,
         plan,
         tile_len=tile_len,
-        table=table,
+        stt_backend=backend,
         want_windows=True,
         want_fetched=True,
     ):

@@ -178,12 +178,12 @@ def _run_batch(
     hot_lines: Optional[np.ndarray],
     line_bytes: int,
     gather: _PfacGather,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+) -> Tuple[np.ndarray, np.ndarray, int, int, int]:
     """Walk threads [start, stop); returns matches + fetch accounting.
 
-    Returns ``(ends, pids, line_hist_ids, fetches, misses, warp_iters)``
-    where ``line_hist_ids`` is the unique-line array of this batch
-    (used to build the global histogram on pass A).
+    Returns ``(ends, pids, fetches, misses, warp_iters)``; ``misses``
+    counts fetches whose line is outside ``hot_lines`` and stays 0
+    when ``hot_lines`` is None (pass A, before the hot set exists).
     """
     n = data.size
     idx = np.arange(start, stop, dtype=np.int64)
@@ -193,7 +193,6 @@ def _run_batch(
     pids_out: List[np.ndarray] = []
     fetches = 0
     misses = 0
-    lines_seen: List[np.ndarray] = []
     warp_iters = 0
     offs = pfac.out_offsets
 
@@ -210,8 +209,6 @@ def _run_batch(
         fetches += int(lids.size)
         if hot_lines is not None and lids.size:
             misses += int((~np.isin(lids, hot_lines)).sum())
-        if hot_lines is None and lids.size:
-            lines_seen.append(np.unique(lids))
         # A warp stays live until its last lane dies: count warp
         # iterations as warps containing any alive lane.
         alive_w = alive.reshape(-1, 32) if alive.size % 32 == 0 else None
@@ -247,12 +244,7 @@ def _run_batch(
 
     ends = np.concatenate(ends_out) if ends_out else np.empty(0, dtype=np.int64)
     pids = np.concatenate(pids_out) if pids_out else np.empty(0, dtype=np.int64)
-    uniq = (
-        np.unique(np.concatenate(lines_seen))
-        if lines_seen
-        else np.empty(0, dtype=np.int64)
-    )
-    return ends, pids, uniq, fetches, misses, warp_iters
+    return ends, pids, fetches, misses, warp_iters
 
 
 def run_pfac_kernel(
@@ -325,21 +317,19 @@ def _pfac_passes(
 ):
     """Both functional passes + cost assembly (no launch pricing)."""
     gather = _PfacGather(pfac, backend)
-    # ---- pass A: functional + line histogram ------------------------------
+    # ---- pass A: functional + fetch counts ---------------------------------
     all_ends: List[np.ndarray] = []
     all_pids: List[np.ndarray] = []
-    uniq_lines: List[np.ndarray] = []
     fetches_total = 0
     warp_iters = 0
     for start in range(0, arr.size, BATCH_THREADS):
         stop = min(start + BATCH_THREADS, arr.size)
-        ends, pids, uniq, fetches, _, iters = _run_batch(
+        ends, pids, fetches, _, iters = _run_batch(
             pfac, arr, start, stop, None, config.texture_cache.line_bytes,
             gather=gather,
         )
         all_ends.append(ends)
         all_pids.append(pids)
-        uniq_lines.append(uniq)
         fetches_total += fetches
         warp_iters += iters
     matches = MatchResult(
@@ -371,7 +361,7 @@ def _pfac_passes(
     misses_total = 0
     for start in range(0, arr.size, BATCH_THREADS):
         stop = min(start + BATCH_THREADS, arr.size)
-        _, _, _, _, misses, _ = _run_batch(
+        _, _, _, misses, _ = _run_batch(
             pfac, arr, start, stop, hot, config.texture_cache.line_bytes,
             gather=gather,
         )

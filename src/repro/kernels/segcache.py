@@ -33,7 +33,6 @@ measurement outputs); callers must not mutate arrays they get back.
 from __future__ import annotations
 
 import hashlib
-import os
 import threading
 import weakref
 from collections import OrderedDict
@@ -41,18 +40,11 @@ from typing import Any, Hashable, Optional, Tuple
 
 import numpy as np
 
-#: Environment variable: set to ``"0"`` to disable memoization.
-SEGCACHE_ENV_VAR = "REPRO_SEGCACHE"
-
 #: Default bound on resident segments.  Segments hold match arrays and
 #: traffic summaries — small next to the scans they replace — but the
 #: bound keeps a long sweep from accumulating without limit.
+#: ``configure(max_entries=0)`` turns memoization off.
 DEFAULT_MAX_ENTRIES = 32
-
-
-def enabled() -> bool:
-    """True unless ``REPRO_SEGCACHE=0`` (checked per lookup; tests flip it)."""
-    return os.environ.get(SEGCACHE_ENV_VAR, "") != "0"
 
 
 class SegmentCache:
@@ -160,25 +152,20 @@ def data_digest(arr: np.ndarray) -> str:
     return digest
 
 
-def segment_key(kind: str, dfa, arr: np.ndarray, *parts) -> Optional[Tuple]:
-    """Build a cache key, or None when memoization is off.
+def segment_key(kind: str, dfa, arr: np.ndarray, *parts) -> Tuple:
+    """Build a cache key.
 
     ``parts`` must be hashable scalars/strings (pass frozen dataclasses
     through ``repr``).  The DFA and data enter as content digests only.
     """
-    if not enabled():
-        return None
     return (kind, dfa.content_digest(), data_digest(arr)) + tuple(parts)
 
 
-def segment_get(key: Optional[Tuple]) -> Optional[Any]:
-    """Cached segment for *key* (None key = memoization off)."""
-    if key is None:
-        return None
+def segment_get(key: Tuple) -> Optional[Any]:
+    """Cached segment for *key*, or None."""
     return CACHE.get(key)
 
 
-def segment_put(key: Optional[Tuple], value: Any) -> None:
-    """Store a segment under *key* (no-op when key is None)."""
-    if key is not None:
-        CACHE.put(key, value)
+def segment_put(key: Tuple, value: Any) -> None:
+    """Store a segment under *key*."""
+    CACHE.put(key, value)

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.compress.backend import DEFAULT_BACKEND, resolve_backend
 from repro.core.alphabet import BytesLike
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
@@ -39,6 +40,12 @@ from repro.obs import NULL_METRICS, NULL_TRACER
 
 #: Valid backend names.
 BACKENDS = ("serial", "serial_mt", "gpu", "double_array")
+
+
+def _check_backend(backend: str) -> None:
+    """Raise on a backend name outside :data:`BACKENDS`."""
+    if backend not in BACKENDS:
+        raise ReproError(f"unknown backend {backend!r}; choose from {BACKENDS}")
 
 
 class Matcher:
@@ -90,20 +97,14 @@ class Matcher:
         runs on (default: :data:`repro.core.tiled.DEFAULT_TILE_LEN`).
         Peak scan memory is O(n_threads × tile_len), independent of
         input size; results are byte-identical for every value.
-    compact:
-        Gather δ through the alphabet-compacted transition table
-        (default True; exactly equivalent to the dense STT, smaller
-        working set).  Set False to force dense gathers.  Picks the
-        ``serial_mt`` table, and the GPU backend's when ``stt_backend``
-        is None.
     stt_backend:
         STT storage backend for the GPU backend's δ-gather: ``"dense"``,
-        ``"compact"``, ``"banded"``, or ``"bitmap"`` (see
-        :mod:`repro.compress.backend`).  Default ``None`` resolves from
-        ``compact``; the resolved name is all the kernel sees.  Every
-        backend returns byte-identical matches (pinned by the
-        differential harness); the compressed families trade per-fetch
-        arithmetic for a smaller modeled texture working set.
+        ``"compact"`` (default), ``"banded"``, or ``"bitmap"`` (see
+        :mod:`repro.compress.backend`).  Every backend returns
+        byte-identical matches (pinned by the differential harness);
+        the compressed families trade per-fetch arithmetic for a
+        smaller modeled texture working set.  The CPU backends always
+        gather through the compact table.
     """
 
     def __init__(
@@ -117,44 +118,27 @@ class Matcher:
         metrics=None,
         profiler=None,
         tile_len: Optional[int] = None,
-        compact: bool = True,
-        stt_backend: Optional[str] = None,
+        stt_backend: str = DEFAULT_BACKEND,
         workers: int = 0,
     ):
-        if backend not in BACKENDS:
-            raise ReproError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
+        _check_backend(backend)
         if not isinstance(patterns, PatternSet):
             patterns = PatternSet(patterns)
-        self.case_insensitive = case_insensitive
         if case_insensitive:
             patterns = PatternSet.from_bytes(
                 [p.lower() for p in patterns.as_bytes_list()]
             )
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.profiler = profiler
-        with self.tracer.span(
+        tracer = tracer if tracer is not None else NULL_TRACER
+        with tracer.span(
             "build", n_patterns=len(patterns), backend=backend
         ) as sp:
-            self._dfa = DFA.build(patterns)
-            sp.set(n_states=self._dfa.n_states)
-        self.backend = backend
-        self.device = device
-        self.tile_len = tile_len
-        self.compact = compact
-        from repro.compress.backend import resolve_backend
-
-        self.stt_backend = resolve_backend(stt_backend, compact=compact)
-        self.workers = workers
-        self.last_health = None
-        self._resilient = None
-        self._double_array = None
-        if backend == "double_array":
-            from repro.core.double_array import DoubleArrayAC
-
-            self._double_array = DoubleArrayAC.build(patterns)
+            dfa = DFA.build(patterns)
+            sp.set(n_states=dfa.n_states)
+        self._setup(
+            dfa, backend=backend, case_insensitive=case_insensitive,
+            device=device, tracer=tracer, metrics=metrics, profiler=profiler,
+            tile_len=tile_len, stt_backend=stt_backend, workers=workers,
+        )
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -169,8 +153,7 @@ class Matcher:
         metrics=None,
         profiler=None,
         tile_len: Optional[int] = None,
-        compact: bool = True,
-        stt_backend: Optional[str] = None,
+        stt_backend: str = DEFAULT_BACKEND,
         workers: int = 0,
     ) -> "Matcher":
         """Wrap a pre-built DFA (e.g. loaded from disk).
@@ -179,35 +162,37 @@ class Matcher:
         with (a folded dictionary plus unfolded scan texts would miss
         matches); :meth:`load` restores it from the artifact header.
         """
+        _check_backend(backend)
         obj = cls.__new__(cls)
-        if backend not in BACKENDS:
-            raise ReproError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
-        obj._dfa = dfa
-        obj.backend = backend
-        obj.case_insensitive = case_insensitive
-        obj.device = device
-        obj.tracer = tracer if tracer is not None else NULL_TRACER
-        obj.metrics = metrics if metrics is not None else NULL_METRICS
-        obj.profiler = profiler
-        obj.tile_len = tile_len
-        obj.compact = compact
-        from repro.compress.backend import resolve_backend
+        obj._setup(
+            dfa, backend=backend, case_insensitive=case_insensitive,
+            device=device, tracer=tracer, metrics=metrics, profiler=profiler,
+            tile_len=tile_len, stt_backend=stt_backend, workers=workers,
+        )
+        return obj
 
-        obj.stt_backend = resolve_backend(stt_backend, compact=compact)
-        obj.workers = workers
-        obj.last_health = None
-        obj._resilient = None
-        obj._double_array = None
+    def _setup(
+        self, dfa: DFA, *, backend, case_insensitive, device, tracer,
+        metrics, profiler, tile_len, stt_backend, workers,
+    ) -> None:
+        """Everything both constructors share once the DFA exists."""
+        self._dfa = dfa
+        self.backend = backend
+        self.case_insensitive = case_insensitive
+        self.device = device
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.profiler = profiler
+        self.tile_len = tile_len
+        self.stt_backend = resolve_backend(stt_backend)
+        self.workers = workers
+        self.last_health = None
+        self._resilient = None
+        self._double_array = None
         if backend == "double_array":
-            from repro.core.automaton import AhoCorasickAutomaton
             from repro.core.double_array import DoubleArrayAC
 
-            obj._double_array = DoubleArrayAC.from_automaton(
-                AhoCorasickAutomaton.build(dfa.patterns)
-            )
-        return obj
+            self._double_array = DoubleArrayAC.build(dfa.patterns)
 
     @classmethod
     def load(cls, path: str, *, backend: str = "serial") -> "Matcher":
@@ -293,10 +278,7 @@ class Matcher:
                 from repro.core.multicore import scan_multicore
 
                 result = scan_multicore(
-                    self._dfa,
-                    text,
-                    workers=self.workers,
-                    compact=self.compact,
+                    self._dfa, text, workers=self.workers
                 ).matches
             else:
                 result = match_serial(self._dfa, text)

@@ -39,7 +39,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compress.backend import resolve_backend
+from repro.compress.backend import DEFAULT_BACKEND, resolve_backend
 from repro.core.dfa import DFA
 from repro.core.integrity import stt_row_checksums, verify_row_checksums
 from repro.core.pattern_set import PatternSet
@@ -85,7 +85,7 @@ class CacheEntry:
     #: STT storage backend this entry's gather table was prepared for;
     #: part of the resident key (same digest + different backend are
     #: distinct entries).
-    stt_backend: str = "dense"
+    stt_backend: str = DEFAULT_BACKEND
     hits: int = 0
 
     def verify(self) -> None:
@@ -147,7 +147,7 @@ class AutomatonCache:
         return tuple(d for d, _ in self._entries)
 
     def get(
-        self, digest: str, *, stt_backend: str = "dense"
+        self, digest: str, *, stt_backend: str = DEFAULT_BACKEND
     ) -> Optional[CacheEntry]:
         """The verified entry for ``(digest, stt_backend)``, or None.
 
@@ -190,7 +190,7 @@ class AutomatonCache:
         patterns: Union[Sequence, PatternSet],
         *,
         case_insensitive: bool = False,
-        stt_backend: str = "dense",
+        stt_backend: str = DEFAULT_BACKEND,
     ) -> Tuple[CacheEntry, bool]:
         """``(entry, was_hit)`` for a dictionary, building on miss.
 

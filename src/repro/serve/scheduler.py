@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.compress.backend import DEFAULT_BACKEND, resolve_backend
 from repro.core.match import MatchResult
 from repro.core.pattern_set import PatternSet
 from repro.errors import ReproError
@@ -225,7 +226,7 @@ class ScanScheduler:
         matcher this scheduler builds; also part of the automaton
         cache's resident key, so two schedulers sharing one cache
         under different backends never serve each other's tables.
-        Default ``None`` resolves to the compact legacy behavior.
+        Default ``compact``, the cache's default too.
     epochs:
         Optional :class:`~repro.serve.epoch.EpochManager` enabling the
         named-submission path (:meth:`submit_named`): a request
@@ -262,7 +263,7 @@ class ScanScheduler:
         metrics=None,
         profiler=None,
         tile_len: Optional[int] = None,
-        stt_backend: Optional[str] = None,
+        stt_backend: str = DEFAULT_BACKEND,
         epochs: Optional[EpochManager] = None,
         clock: Callable[[], float] = time.monotonic,
         slo=None,
@@ -278,8 +279,6 @@ class ScanScheduler:
         self.backend = backend
         self.max_batch = max_batch
         self.tile_len = tile_len
-        from repro.compress.backend import resolve_backend
-
         # Resolved once; every cache lookup/build and every matcher this
         # scheduler constructs uses the same STT storage backend, so the
         # cache's (digest, backend) keys stay coherent per scheduler.

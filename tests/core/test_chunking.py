@@ -12,12 +12,12 @@ from repro.core import (
     DFA,
     PatternSet,
     encode,
-    match_text_lockstep,
     naive_find_all,
     plan_chunks,
     required_overlap,
 )
 from repro.core.chunking import build_windows
+from repro.core.tiled import scan_tiled
 from repro.errors import ChunkingError
 
 
@@ -94,7 +94,7 @@ class TestChunkedMatchEqualsSerial:
     def test_small_chunks_paper_patterns(self, paper_dfa, paper_patterns, chunk_len):
         text = b"ushers she hishers xxheyy hers his usher"
         expected = set(naive_find_all(paper_patterns, text))
-        got = match_text_lockstep(paper_dfa, encode(text), chunk_len).as_set()
+        got = scan_tiled(paper_dfa, encode(text), chunk_len=chunk_len).matches.as_set()
         assert got == expected
 
     def test_match_straddling_every_boundary(self):
@@ -102,15 +102,15 @@ class TestChunkedMatchEqualsSerial:
         ps = PatternSet.from_strings(["abcde"])
         dfa = DFA.build(ps)
         text = encode(b"abcdeabcdeabcde")
-        got = match_text_lockstep(dfa, text, chunk_len=3).as_set()
+        got = scan_tiled(dfa, text, chunk_len=3).matches.as_set()
         assert got == {(4, 0), (9, 0), (14, 0)}
 
     def test_looser_overlap_still_exact(self, paper_dfa, paper_patterns):
         # The paper uses X = max_len (one more than needed).
         text = encode(b"ushers ushers")
-        tight = match_text_lockstep(paper_dfa, text, 4, overlap=3).as_set()
-        loose = match_text_lockstep(paper_dfa, text, 4, overlap=4).as_set()
-        huge = match_text_lockstep(paper_dfa, text, 4, overlap=13).as_set()
+        tight = scan_tiled(paper_dfa, text, chunk_len=4, overlap=3).matches.as_set()
+        loose = scan_tiled(paper_dfa, text, chunk_len=4, overlap=4).matches.as_set()
+        huge = scan_tiled(paper_dfa, text, chunk_len=4, overlap=13).matches.as_set()
         assert tight == loose == huge
 
     def test_nul_padding_cannot_create_matches(self):
@@ -119,18 +119,18 @@ class TestChunkedMatchEqualsSerial:
         ps = PatternSet.from_bytes([bytes([0, 0])])
         dfa = DFA.build(ps)
         text = encode(bytes([1, 0]))  # ends with a single NUL
-        got = match_text_lockstep(dfa, text, chunk_len=2).as_set()
+        got = scan_tiled(dfa, text, chunk_len=2).matches.as_set()
         assert got == set()
 
     def test_nul_patterns_inside_text_found(self):
         ps = PatternSet.from_bytes([bytes([0, 0])])
         dfa = DFA.build(ps)
         text = encode(bytes([1, 0, 0, 1]))
-        got = match_text_lockstep(dfa, text, chunk_len=2).as_set()
+        got = scan_tiled(dfa, text, chunk_len=2).matches.as_set()
         assert got == {(2, 0)}
 
     def test_empty_text(self, paper_dfa):
-        got = match_text_lockstep(paper_dfa, encode(b""), chunk_len=4)
+        got = scan_tiled(paper_dfa, encode(b""), chunk_len=4).matches
         assert len(got) == 0
 
     def test_randomized_equivalence(self, paper_dfa, paper_patterns, rng):
@@ -139,5 +139,5 @@ class TestChunkedMatchEqualsSerial:
         text = random_text(rng, 2000, alphabet=b"hers i")
         expected = set(naive_find_all(paper_patterns, text))
         for chunk in (1, 7, 32, 501, 4096):
-            got = match_text_lockstep(paper_dfa, encode(text), chunk).as_set()
+            got = scan_tiled(paper_dfa, encode(text), chunk_len=chunk).matches.as_set()
             assert got == expected, f"chunk={chunk}"

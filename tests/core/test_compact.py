@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import DFA, PatternSet, encode, match_serial
 from repro.core.alphabet import ALPHABET_SIZE
 from repro.core.compact import ByteClassMap, CompactSTT, compact_columns, used_bytes
-from repro.core.lockstep import match_text_lockstep
+from repro.core.tiled import scan_tiled
 from repro.core.trie import ROOT
 from repro.errors import PatternError
 
@@ -118,7 +118,9 @@ def test_compact_scan_equals_dense_scan(case, chunk_len):
     patterns, text = case
     dfa = DFA.build(patterns)
     data = encode(text)
-    dense = match_text_lockstep(dfa, data, chunk_len, compact=False)
-    compact = match_text_lockstep(dfa, data, chunk_len, compact=True)
+    dense, compact = (
+        scan_tiled(dfa, data, chunk_len=chunk_len, stt_backend=b).matches
+        for b in ("dense", "compact")
+    )
     assert dense == compact
     assert dense == match_serial(dfa, text)

@@ -132,22 +132,22 @@ class TestCompiledIdentity:
         state0 = rng.integers(0, english_dfa.n_states, size=n_threads)
         symbols = rng.integers(0, 256, size=n_threads).astype(np.uint8)
 
-        def one_step(table):
-            k = GatherKernel(english_dfa, table)
+        def one_step(backend):
+            k = GatherKernel(english_dfa, english_dfa.gather_table(backend))
             k.alloc(n_threads)
-            state = state0.astype(np.int64)
-            out = np.empty(n_threads, dtype=np.int32)
-            k.step(state, symbols, out)
-            return state.copy(), out.copy()
+            out = np.empty(n_threads, dtype=k.row_dtype)
+            hit = np.empty(n_threads, dtype=np.bool_)
+            k.step_fused(state0.astype(np.int64), symbols, out, hit)
+            return out, hit
 
-        compact = english_dfa.compact_stt()
-        ref = {t: one_step(t) for t in (None, compact)}
+        backends = ("dense", "compact")
+        ref = {b: one_step(b) for b in backends}
         monkeypatch.setenv(JIT_ENV_VAR, "1")
         assert jit_enabled()
-        for t in (None, compact):
-            got_state, got_out = one_step(t)
-            np.testing.assert_array_equal(got_state, ref[t][0])
-            np.testing.assert_array_equal(got_out, ref[t][1])
+        for b in backends:
+            got_out, got_hit = one_step(b)
+            np.testing.assert_array_equal(got_out, ref[b][0])
+            np.testing.assert_array_equal(got_hit, ref[b][1])
 
     def test_scan_tiled_byte_identical(self, english_dfa, rng, monkeypatch):
         from repro.core.alphabet import encode

@@ -183,12 +183,6 @@ class TestApiAndStats:
         with pytest.raises(ChunkingError):
             MultiCoreMatcher(paper_dfa, workers=-2)
 
-    def test_compact_and_dense_identical(self, english_dfa, rng):
-        text = random_text(rng, 8000)
-        a = pairs_mc(english_dfa, text, workers=3, compact=True)
-        b = pairs_mc(english_dfa, text, workers=3, compact=False)
-        assert a == b
-
 
 class TestMeasurement:
     def test_measure_reports_sane_fields(self, english_dfa, rng):

@@ -16,7 +16,7 @@ from repro.core import (
     naive_find_all,
 )
 from repro.core.serial import match_serial_python
-from repro.core.lockstep import match_text_lockstep
+from repro.core.tiled import scan_tiled
 
 # Small alphabets maximize match density and boundary collisions.
 ALPHA = st.sampled_from(["ab", "abc", "he rs"])
@@ -59,7 +59,7 @@ def test_chunked_lockstep_equals_serial_for_any_chunk(case, chunk_len):
     patterns, text = case
     dfa = DFA.build(patterns)
     expected = set(naive_find_all(patterns, text))
-    got = match_text_lockstep(dfa, encode(text), chunk_len).as_set()
+    got = scan_tiled(dfa, encode(text), chunk_len=chunk_len).matches.as_set()
     assert got == expected
 
 
@@ -69,8 +69,8 @@ def test_extra_overlap_never_changes_matches(case, extra):
     patterns, text = case
     dfa = DFA.build(patterns)
     tight = patterns.max_length - 1
-    a = match_text_lockstep(dfa, encode(text), 5, overlap=tight)
-    b = match_text_lockstep(dfa, encode(text), 5, overlap=tight + extra)
+    a = scan_tiled(dfa, encode(text), chunk_len=5, overlap=tight).matches
+    b = scan_tiled(dfa, encode(text), chunk_len=5, overlap=tight + extra).matches
     assert a == b
 
 

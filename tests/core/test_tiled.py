@@ -6,7 +6,8 @@ byte-identical to the old trace-the-whole-window path for *any* tile
 size, including tile_len=1 (a seam between every step) and tile sizes
 that straddle chunk-ownership boundaries.  The monolithic reference
 (build_windows + run_dfa_lockstep + extract_matches) is kept alive
-precisely to anchor these tests.
+precisely to anchor these tests; it gathers through the plain dense
+``dfa.stt.table`` lookup and shares no gather code with the engine.
 """
 
 import numpy as np
@@ -36,6 +37,10 @@ def monolithic(dfa, data, chunk_len, overlap=None):
     return plan, windows, trace, matches, raw_hits
 
 
+#: The boolean ``compact`` parametrizations pick the gather table by name.
+BACKEND_OF = {False: "dense", True: "compact"}
+
+
 @pytest.fixture(scope="module")
 def paper_case():
     dfa = DFA.build(PatternSet([b"he", b"she", b"his", b"hers"]))
@@ -54,7 +59,11 @@ class TestTiledEqualsMonolithic:
         dfa, data = paper_case
         _, _, trace, want, want_raw = monolithic(dfa, data, chunk_len)
         got = scan_tiled(
-            dfa, data, chunk_len=chunk_len, tile_len=tile_len, compact=compact
+            dfa,
+            data,
+            chunk_len=chunk_len,
+            tile_len=tile_len,
+            stt_backend=BACKEND_OF[compact],
         )
         assert got.matches == want
         assert got.raw_hits == want_raw
@@ -92,9 +101,9 @@ class TestTiledEqualsMonolithic:
         g = GatherKernel(dfa, None)
         g.alloc(4)
         state = np.zeros(4, dtype=np.int64)
-        out = np.empty(4, dtype=np.int32)
-        g.step(state, np.zeros(4, dtype=np.uint8), out)
-        assert np.array_equal(out, np.zeros(4, dtype=np.int32))
+        out = np.empty(4, dtype=g.row_dtype)
+        g.step_fused(state, np.zeros(4, dtype=np.uint8), out)
+        assert np.array_equal(out, np.zeros(4, dtype=g.row_dtype))
 
 
 class TestSeams:
@@ -143,14 +152,14 @@ def dict_text_geometry(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(dict_text_geometry(), st.booleans())
-def test_tiled_equals_monolithic_property(case, compact):
+@given(dict_text_geometry(), st.sampled_from(["dense", "compact"]))
+def test_tiled_equals_monolithic_property(case, stt_backend):
     patterns, text, chunk_len, tile_len = case
     dfa = DFA.build(patterns)
     data = encode(text)
     _, _, _, want, want_raw = monolithic(dfa, data, chunk_len)
     got = scan_tiled(
-        dfa, data, chunk_len=chunk_len, tile_len=tile_len, compact=compact
+        dfa, data, chunk_len=chunk_len, tile_len=tile_len, stt_backend=stt_backend
     )
     assert got.matches == want
     assert got.raw_hits == want_raw

@@ -6,8 +6,8 @@ uint16 state downcast for small machines, and a thread-local buffer
 pool.  These tests pin the three properties that rewrite must not
 lose:
 
-* the fused step is value-identical to the reference row-major step
-  for every backend;
+* the fused step is value-identical to the plain dense lookup
+  ``dfa.stt.table[state, byte]`` for the dense and compact tables;
 * the uint16 storage downcast never changes a single observable
   (matches, raw hits, bytes scanned, sink histograms) — values, not
   storage width, are the contract;
@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 import repro.core.tiled as tiled
 from repro.core import DFA, PatternSet
 from repro.core.alphabet import STATE_DTYPE
+from repro.core.jit import JIT_ENV_VAR
 from repro.core.tiled import (
     GatherKernel,
     StateVisitHistogram,
@@ -54,37 +55,33 @@ def _scan_outcome(dfa, data, **kw):
 
 
 class TestStepFusedParity:
-    """step_fused ≡ step, element for element, dense and compact."""
+    """step_fused ≡ the dense STT lookup, element for element."""
 
     @pytest.mark.parametrize("compact", [False, True])
     def test_fused_equals_reference_step(self, small_dfa, compact):
         dfa = small_dfa
-        table = dfa.compact_stt() if compact else None
-        ref = GatherKernel(dfa, table)
-        fused = GatherKernel(dfa, table)
+        backend = "compact" if compact else "dense"
+        fused = GatherKernel(dfa, dfa.gather_table(backend))
         n = 97
-        ref.alloc(n)
         fused.alloc(n)
-        assert fused.ensure_fused()
         rng = np.random.default_rng(7)
         flags = np.asarray(dfa.stt.match_flags) != 0
-        state = rng.integers(0, dfa.n_states, size=n, dtype=np.int64)
-        prev = state.copy()
+        prev = rng.integers(0, dfa.n_states, size=n, dtype=np.int64)
         for _ in range(16):
             symbols = rng.integers(0, 256, size=n, dtype=np.uint8)
-            want = np.empty(n, dtype=ref.row_dtype)
-            ref.step(state, symbols, want)
+            want = dfa.stt.table[prev, symbols]
             got = np.empty(n, dtype=fused.row_dtype)
             hit = np.empty(n, dtype=np.bool_)
             fused.step_fused(prev, symbols, got, hit)
             np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(hit, flags[got])
+            np.testing.assert_array_equal(hit, flags[want])
             prev = got
 
     def test_adapter_backends_report_unfused(self, small_dfa):
         table = small_dfa.gather_table("bitmap")
         k = GatherKernel(small_dfa, table)
-        assert not k.ensure_fused()
+        assert k.adapter is table
+        assert k.col_flat is None
 
 
 class TestStateDtypeDowncast:
@@ -139,8 +136,11 @@ class TestAllocationDiscipline:
         The old engine's row-at-a-time flag gather let ``np.take``
         cast its index array to intp, allocating a fresh
         (tile_len × n_threads) transient per tile; the fused engine
-        stages every gather through pooled buffers.
+        stages every gather through pooled buffers.  Pins the NumPy
+        step, so the compiled ``REPRO_JIT=1`` loop (no ``np.take``) is
+        switched off here.
         """
+        monkeypatch.delenv(JIT_ENV_VAR, raising=False)
         dfa, data = quiet_workload
         scan_tiled(dfa, data)  # warm-up: tables + pool outside the spy
         real_take = np.take

@@ -5,7 +5,7 @@ Two contracts, both load-bearing for the paper-scale bench grids:
 * memoized segments are **content**-addressed (docs/MODEL.md §14) — a
   repeat of identical work is served from cache with byte-identical
   results, pricing-only knobs share one segment, and turning the cache
-  off (``REPRO_SEGCACHE=0``) changes nothing but the work done;
+  off (``configure(max_entries=0)``) changes nothing but the work done;
 * the cache never extends an automaton's lifetime: keys hold digests,
   not DFA references, so an automaton evicted from
   :class:`~repro.serve.cache.AutomatonCache` is freed together with
@@ -81,14 +81,12 @@ class TestSegmentCacheBounds:
 
 
 class TestKeying:
-    def test_disabled_by_env(self, paper_dfa, monkeypatch):
-        monkeypatch.setenv(segcache.SEGCACHE_ENV_VAR, "0")
-        assert not segcache.enabled()
+    def test_disabled_by_zero_bound(self, paper_dfa):
+        segcache.configure(max_entries=0)
         key = segcache.segment_key("kind", paper_dfa, TEXT, 1, 2)
-        assert key is None
-        assert segcache.segment_get(key) is None
-        segcache.segment_put(key, "value")  # must be a no-op
+        segcache.segment_put(key, "value")  # evicted on insert
         assert len(segcache.CACHE) == 0
+        assert segcache.segment_get(key) is None
 
     def test_key_is_content_addressed(self):
         """Two builds of the same dictionary share one key; a different
@@ -141,12 +139,12 @@ class TestKernelMemoization:
         # ...while the priced outcomes still differ where they should.
         assert naive.counters.bank_conflict_excess > 0
 
-    def test_disabled_cache_changes_nothing_but_work(
-        self, english_dfa, monkeypatch
-    ):
+    def test_disabled_cache_changes_nothing_but_work(self, english_dfa):
         on = run_shared_kernel(english_dfa, TEXT, Device())
-        monkeypatch.setenv(segcache.SEGCACHE_ENV_VAR, "0")
+        segcache.configure(max_entries=0)
+        hits = segcache.CACHE.stats()["hits"]
         off = run_shared_kernel(english_dfa, TEXT, Device())
+        assert segcache.CACHE.stats()["hits"] == hits  # recomputed
         assert off.matches == on.matches
         assert off.counters == on.counters
         assert off.timing == on.timing

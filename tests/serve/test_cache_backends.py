@@ -70,6 +70,19 @@ class TestCompositeKeying:
         entry, _ = cache.get_or_build(PATTERNS)
         assert cache.get(entry.digest) is entry
 
+    def test_default_warm_cache_serves_default_scheduler(self):
+        """Cache and scheduler share one default backend: a cache warmed
+        with default arguments is hit, not rebuilt, by a default
+        ScanScheduler."""
+        from repro.serve import ScanScheduler
+
+        cache = AutomatonCache(capacity=8)
+        cache.get_or_build(PATTERNS)
+        sched = ScanScheduler(cache=cache)
+        sched.submit(PATTERNS, b"ushers")
+        sched.drain()
+        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
+
 
 class TestHitVerification:
     def test_hit_re_verifies_byte_identity(self):
