@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["gpu", "double_array", "serial", "serial_mt"])
     st.add_argument(
         "--workers", type=int, default=0,
-        help="thread count for --backend serial_mt (0 = one per core)",
+        help="thread count for --backend serial_mt (0 = one per usable core)",
     )
     st.add_argument("--case-insensitive", action="store_true")
     st.add_argument(
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     cb.add_argument("--patterns", type=int, default=1000,
                     help="dictionary size (default 1000)")
     cb.add_argument("--workers", type=int, default=0,
-                    help="thread count (0 = one per host core)")
+                    help="thread count (0 = one per usable core)")
     cb.add_argument("--repeats", type=int, default=3,
                     help="timing repeats, min taken (default 3)")
     cb.add_argument(
@@ -1374,12 +1374,11 @@ def _cmd_paperscale(args) -> int:
 
 
 def _cmd_cpubench(args) -> int:
-    import os
-
     from repro.bench.cpu_model import CpuConfig, multicore_speedup
     from repro.core.jit import jit_status
+    from repro.core.multicore import usable_cores
 
-    host = os.cpu_count() or 1
+    host = usable_cores()
     workers = args.workers or host
     runner = ExperimentRunner(
         scale=args.scale, seed=args.seed, tile_len=args.tile_len

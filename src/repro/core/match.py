@@ -29,6 +29,35 @@ class Match:
         return self.end - pattern_length + 1
 
 
+#: Widest packed (end, pattern_id) key, in bits; keeps the key
+#: non-negative in int64 with a bit to spare.
+_KEY_BITS = 62
+
+
+def _canonical(ends: np.ndarray, pattern_ids: np.ndarray):
+    """Non-empty pairs sorted by (end, pattern_id), exact duplicates dropped."""
+    b = int(pattern_ids.max()).bit_length()
+    if (
+        ends.min() >= 0
+        and pattern_ids.min() >= 0
+        and int(ends.max()).bit_length() + b <= _KEY_BITS
+    ):
+        key = ends << b
+        key |= pattern_ids
+        key.sort()
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+        return key >> b, key & ((1 << b) - 1)
+    order = np.lexsort((pattern_ids, ends))
+    ends = ends[order]
+    pattern_ids = pattern_ids[order]
+    keep = np.ones(ends.size, dtype=bool)
+    keep[1:] = (np.diff(ends) != 0) | (np.diff(pattern_ids) != 0)
+    return ends[keep], pattern_ids[keep]
+
+
 class MatchResult:
     """Column-oriented container for a set of matches.
 
@@ -39,7 +68,12 @@ class MatchResult:
         (end, pattern_id) with exact duplicates removed, so two results
         covering the same occurrences always compare equal regardless
         of the order kernels emitted them in (thread completion order
-        is nondeterministic on real hardware).
+        is nondeterministic on real hardware).  The constructor is the
+        only place that order is built: it packs each pair into one
+        int64 key, ``end << b | pattern_id`` with ``b`` the bit length
+        of the largest id, and sorts the keys once.  Pairs the key
+        cannot hold (a negative value, or more than 62 bits in total)
+        take a two-key ``np.lexsort`` instead; no engine emits them.
     """
 
     __slots__ = ("ends", "pattern_ids")
@@ -52,13 +86,7 @@ class MatchResult:
                 f"ends {ends.shape} and pattern_ids {pattern_ids.shape} differ"
             )
         if ends.size:
-            order = np.lexsort((pattern_ids, ends))
-            ends = ends[order]
-            pattern_ids = pattern_ids[order]
-            keep = np.ones(ends.size, dtype=bool)
-            keep[1:] = (np.diff(ends) != 0) | (np.diff(pattern_ids) != 0)
-            ends = ends[keep]
-            pattern_ids = pattern_ids[keep]
+            ends, pattern_ids = _canonical(ends, pattern_ids)
         ends.setflags(write=False)
         pattern_ids.setflags(write=False)
         self.ends = ends

@@ -47,8 +47,15 @@ from repro.errors import ChunkingError
 DEFAULT_MC_CHUNK = 1024
 
 
-def _auto_workers() -> int:
-    """Worker count when the caller passes 0: one per visible core."""
+def usable_cores() -> int:
+    """Cores this process may run on; the worker count for ``workers=0``.
+
+    ``os.cpu_count()`` also counts cores outside the process's CPU
+    affinity set (a cpuset-restricted container cannot run on them),
+    so it is only the fallback where the affinity call is missing.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(len(os.sched_getaffinity(0)), 1)
     return max(int(os.cpu_count() or 1), 1)
 
 
@@ -107,13 +114,13 @@ def scan_multicore(
     ``[starts[w], owned_ends[w])`` — the same start-ownership rule as
     the GPU kernels, so no cross-slab occurrence is lost or doubled.
 
-    ``workers = 0`` uses one worker per visible core.  ``chunk_len``
+    ``workers = 0`` uses one worker per usable core.  ``chunk_len``
     is the per-lane owned length *inside* each slab (the lockstep
     parallelism the tiled engine vectorizes over).
     """
     if workers < 0:
         raise ChunkingError(f"workers must be >= 0, got {workers}")
-    workers = workers or _auto_workers()
+    workers = workers or usable_cores()
     arr = encode(data, name="data")
     n = int(arr.size)
     if n == 0:
@@ -215,7 +222,7 @@ class MultiCoreMatcher:
         if workers < 0:
             raise ChunkingError(f"workers must be >= 0, got {workers}")
         self.dfa = dfa
-        self.workers = workers or _auto_workers()
+        self.workers = workers or usable_cores()
         self.chunk_len = chunk_len
         self.tile_len = tile_len
 
@@ -289,7 +296,7 @@ def measure_multicore(
     """
     if repeats < 1:
         raise ChunkingError(f"repeats must be >= 1, got {repeats}")
-    workers = workers or _auto_workers()
+    workers = workers or usable_cores()
     arr = encode(data, name="data")
     # Untimed warm-up: pays one-time costs (compact-table build, buffer
     # allocation, thread-pool spinup) outside both timed legs.
@@ -315,5 +322,5 @@ def measure_multicore(
         input_bytes=int(arr.size),
         serial_seconds=serial_s,
         multicore_seconds=mt_s,
-        host_cores=int(os.cpu_count() or 1),
+        host_cores=usable_cores(),
     )

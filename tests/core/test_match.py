@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from repro.core import Match, MatchResult
+from repro import Matcher
+from repro.core import DFA, Match, MatchResult
+from repro.core.multicore import scan_multicore
+from repro.core.serial import match_serial
+from repro.kernels import segcache
+from repro.workload.datasets import DatasetFactory
 
 
 class TestMatch:
@@ -37,6 +43,122 @@ class TestCanonicalization:
         r = MatchResult(np.array([1]), np.array([0]))
         with pytest.raises(ValueError):
             r.ends[0] = 5
+
+
+I64_MAX = 2**63 - 1
+
+#: Values that land on both canonicalization paths: small non-negative
+#: ones pack into one key; negatives, ids >= 2**31 beside large ends,
+#: and ends near 2**62 overflow it and take the lexsort.
+_values = st.one_of(
+    st.integers(0, 40),
+    st.integers(-(2**63), I64_MAX),
+    st.integers(2**31 - 2, 2**31 + 2),
+    st.integers(2**62 - 2, 2**62 + 2),
+)
+
+
+def _cols(pairs):
+    """``(ends, pattern_ids)`` int64 columns of ``(end, id)`` pairs."""
+    return (
+        np.array([e for e, _ in pairs], dtype=np.int64),
+        np.array([p for _, p in pairs], dtype=np.int64),
+    )
+
+
+@st.composite
+def _pair_columns(draw):
+    """Columns of arbitrary pairs, often with many repeats."""
+    pool = draw(st.lists(st.tuples(_values, _values), min_size=1, max_size=6))
+    pairs = draw(
+        st.one_of(
+            st.lists(st.tuples(_values, _values), max_size=40),
+            st.lists(st.sampled_from(pool), max_size=80),
+        )
+    )
+    return _cols(pairs)
+
+
+@pytest.fixture
+def lexsort_sizes(monkeypatch):
+    """Input length of every ``np.lexsort`` call made during the test."""
+    real = np.lexsort
+    sizes = []
+
+    def spy(keys, axis=-1):
+        sizes.append(len(keys[0]))
+        return real(keys, axis=axis)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    return sizes
+
+
+class TestCanonicalOrderProperty:
+    @given(_pair_columns())
+    @example(_cols([]))
+    @example(_cols([(5, -1), (-3, 2), (5, -1), (-3, -7)]))
+    @example(_cols([(-(2**62) - 1, 1), (0, 0)]))
+    @example(_cols([(9, 2**31), (2, 2**31 + 1), (9, 2**31)]))
+    @example(_cols([(2**62 - 1, 0), (2**62 - 2, 0), (2**62 - 1, 0)]))
+    @example(_cols([(2**62 + 1, 3), (2**61, 1), (2**62 + 1, 3)]))
+    @example(_cols([(I64_MAX, I64_MAX), (-(2**63), 0), (I64_MAX, I64_MAX)]))
+    @example(_cols([(7, 1), (3, 0)] * 50))
+    def test_matches_sorted_set_of_pairs(self, cols):
+        ends, pids = cols
+        before = (ends.copy(), pids.copy())
+        r = MatchResult(ends, pids)
+        assert r.as_pairs() == sorted(set(zip(ends.tolist(), pids.tolist())))
+        assert not r.ends.flags.writeable
+        assert not r.pattern_ids.flags.writeable
+        assert r.ends.dtype == r.pattern_ids.dtype == np.int64
+        # The caller's columns are never sorted in place.
+        assert np.array_equal(ends, before[0])
+        assert np.array_equal(pids, before[1])
+
+    @pytest.mark.parametrize(
+        "pairs, lexsorted",
+        [
+            ([(3, 0), (1, 0)], False),
+            ([(2**62 - 1, 0), (0, 0)], False),
+            ([(2**30, 2**31 - 1), (0, 0)], False),
+            ([(2**31, 2**31 - 1), (0, 0)], True),
+            ([(2**61, 1), (0, 0)], True),
+            ([(1, -1), (0, 0)], True),
+            ([(-1, 1), (0, 0)], True),
+        ],
+    )
+    def test_lexsort_only_where_the_key_overflows(
+        self, pairs, lexsorted, lexsort_sizes
+    ):
+        r = MatchResult(*_cols(pairs))
+        assert r.as_pairs() == sorted(pairs)
+        assert bool(lexsort_sizes) is lexsorted
+
+
+@pytest.fixture(scope="module")
+def dense_magazine():
+    """A 64 KiB magazine slice against 1,000 of the paper's patterns."""
+    factory = DatasetFactory(seed=2013)
+    dfa = DFA.build(factory.patterns_for(1000))
+    return dfa, factory.corpus.generate_array(64 * 1024, stream_seed=11)
+
+
+class TestEnginesSkipLexsort:
+    def test_engine_results_never_reach_lexsort(self, dense_magazine, lexsort_sizes):
+        """Every engine's pairs fit the packed key, so none is lexsorted.
+
+        Covers the tiled engine (serial), the per-slab results and the
+        merge of the multicore scan, and the gpu backend's scan
+        segment.  The segment cache is cleared so the gpu scan runs.
+        """
+        dfa, text = dense_magazine
+        segcache.clear()
+        serial = match_serial(dfa, text)
+        multicore = scan_multicore(dfa, text, workers=2).matches
+        on_gpu = Matcher.from_dfa(dfa, backend="gpu").scan(text)
+        assert len(serial) >= 0.1 * text.size  # workload premise
+        assert multicore == serial and on_gpu == serial
+        assert not lexsort_sizes, f"np.lexsort ran on {lexsort_sizes} pairs"
 
 
 class TestConstructorsAndViews:

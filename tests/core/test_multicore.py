@@ -175,7 +175,21 @@ class TestApiAndStats:
 
     def test_workers_zero_uses_host_cores(self, paper_dfa):
         res = scan_multicore(paper_dfa, b"ushers", workers=0)
-        assert res.workers == max(os.cpu_count() or 1, 1)
+        usable = (
+            len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1
+        )
+        assert res.workers == max(usable, 1)
+
+    def test_workers_zero_counts_only_usable_cores(self, paper_dfa, monkeypatch):
+        # os.cpu_count() also counts cores outside the affinity set,
+        # which a cpuset-restricted process cannot run on.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert scan_multicore(paper_dfa, b"ushers", workers=0).workers == 1
+        assert MultiCoreMatcher(paper_dfa).workers == 1
+        meas = measure_multicore(paper_dfa, b"ushers", workers=2, repeats=1)
+        assert meas.host_cores == 1
 
     def test_negative_workers_rejected(self, paper_dfa):
         with pytest.raises(ChunkingError):
