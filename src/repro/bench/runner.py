@@ -764,7 +764,6 @@ class ExperimentRunner:
             cell.data,
             workers=workers,
             repeats=repeats,
-            tile_len=self.tile_len,
         )
 
     def run_grid(

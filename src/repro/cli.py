@@ -323,11 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if the measured multicore speedup is below this "
         "(the CI cpu-baseline job passes 2.0; default 0 = report only)",
     )
-    cb.add_argument(
-        "--tile-len", type=int, default=None,
-        help="step-tile size for the tiled engine in both measured "
-        "legs (default 256 — matches are identical for any value)",
-    )
 
     ps = sub.add_parser(
         "paperscale",
@@ -1381,9 +1376,7 @@ def _cmd_cpubench(args) -> int:
 
     host = usable_cores()
     workers = args.workers or host
-    runner = ExperimentRunner(
-        scale=args.scale, seed=args.seed, tile_len=args.tile_len
-    )
+    runner = ExperimentRunner(scale=args.scale, seed=args.seed)
     cell = runner.factory.cell(args.size, args.patterns)
     print(
         f"cpubench: {args.size} x {args.patterns} patterns "

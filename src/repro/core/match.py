@@ -35,7 +35,11 @@ _KEY_BITS = 62
 
 
 def _canonical(ends: np.ndarray, pattern_ids: np.ndarray):
-    """Non-empty pairs sorted by (end, pattern_id), exact duplicates dropped."""
+    """Non-empty pairs sorted by (end, pattern_id), exact duplicates dropped.
+
+    Always fresh arrays.  Keys that already ascend strictly (canonical
+    results over ascending, disjoint end ranges) skip sort and dedupe.
+    """
     b = int(pattern_ids.max()).bit_length()
     if (
         ends.min() >= 0
@@ -44,11 +48,12 @@ def _canonical(ends: np.ndarray, pattern_ids: np.ndarray):
     ):
         key = ends << b
         key |= pattern_ids
-        key.sort()
-        keep = np.empty(key.size, dtype=bool)
-        keep[0] = True
-        np.not_equal(key[1:], key[:-1], out=keep[1:])
-        key = key[keep]
+        if not np.all(key[1:] > key[:-1]):
+            key.sort()
+            keep = np.empty(key.size, dtype=bool)
+            keep[0] = True
+            np.not_equal(key[1:], key[:-1], out=keep[1:])
+            key = key[keep]
         return key >> b, key & ((1 << b) - 1)
     order = np.lexsort((pattern_ids, ends))
     ends = ends[order]
@@ -71,7 +76,9 @@ class MatchResult:
         is nondeterministic on real hardware).  The constructor is the
         only place that order is built: it packs each pair into one
         int64 key, ``end << b | pattern_id`` with ``b`` the bit length
-        of the largest id, and sorts the keys once.  Pairs the key
+        of the largest id, and sorts the keys once, unless they
+        already ascend strictly.  The result owns read-only copies;
+        the caller's arrays stay writeable.  Pairs the key
         cannot hold (a negative value, or more than 62 bits in total)
         take a two-key ``np.lexsort`` instead; no engine emits them.
     """
@@ -87,6 +94,8 @@ class MatchResult:
             )
         if ends.size:
             ends, pattern_ids = _canonical(ends, pattern_ids)
+        else:
+            ends, pattern_ids = ends.copy(), pattern_ids.copy()
         ends.setflags(write=False)
         pattern_ids.setflags(write=False)
         self.ends = ends

@@ -1,24 +1,26 @@
 """Data-parallel multicore CPU matcher — the honest ``serial_mt`` baseline.
 
 The paper quotes its GPU speedups against a single CPU core, but the
-natural CPU competitor is the chunk-parallel multicore port (Arudchutha
-et al., PAPERS.md): split the input into one slab per worker, span each
-slab by the ``+X`` overlap rule from :mod:`repro.core.chunking`, scan
-the slabs concurrently, and keep only the matches that *start* inside
-the owning slab — exactly the ownership rule the GPU kernels apply per
-thread, so the union of owned matches equals the serial match set.
+natural CPU competitor is the multicore port (Arudchutha et al.,
+PAPERS.md): one slab per worker, scanned concurrently.  Each slab runs
+the single-thread scan (:func:`~repro.core.serial.scan_from`) entered
+in the state the serial scan holds at its first byte, so it reports
+exactly the serial matches that *end* inside it, and the slab results
+concatenate into the canonical union without a sort.
 
-Each worker drives its slab through the tiled lockstep engine
-(:mod:`repro.core.tiled`), whose hot loop is NumPy gathers — NumPy
-releases the GIL inside array ops, so a :class:`~concurrent.futures.
-ThreadPoolExecutor` yields real parallelism without pickling the STT
-into subprocesses.  The result is byte-identical to
-:func:`~repro.core.serial.match_serial` (property-tested, including
-slab-seam and last-short-slab cases).
+The slabs run on a :class:`~concurrent.futures.ThreadPoolExecutor`:
+NumPy releases the GIL inside array ops, so threads overlap without
+pickling the STT into subprocesses — all but each op's Python
+dispatch, which is why every slab sizes its lanes for the number of
+slabs running at once (:func:`~repro.core.serial._lane_plan`).  One
+slab is exactly :func:`~repro.core.serial.match_serial`'s plan.  The
+result is byte-identical to ``match_serial`` (property-tested,
+including matches across one or several seams and slabs too short to
+vectorize).
 
 :func:`measure_multicore` times the real thing — wall-clock
-``scan_multicore`` against the single-threaded scan on the same bytes —
-and is what cross-validates the modeled
+``scan_multicore`` against the serial scan on the same bytes — and
+is what cross-validates the modeled
 :func:`~repro.bench.cpu_model.multicore_cost` speedup curve in CI.
 """
 
@@ -34,17 +36,10 @@ import numpy as np
 
 from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.alphabet import BytesLike, encode
-from repro.core.chunking import plan_chunks, required_overlap
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
-from repro.core.tiled import DEFAULT_TILE_LEN, scan_tiled
+from repro.core.serial import scan_from, state_after
 from repro.errors import ChunkingError
-
-#: Owned bytes per lockstep lane *inside* each worker's slab.  Smaller
-#: than the serial default (4096) on purpose: more lanes per NumPy op
-#: means each op's GIL-released body dominates the Python dispatch that
-#: still serializes threads, which is what multicore scaling lives on.
-DEFAULT_MC_CHUNK = 1024
 
 
 def usable_cores() -> int:
@@ -57,6 +52,18 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return max(len(os.sched_getaffinity(0)), 1)
     return max(int(os.cpu_count() or 1), 1)
+
+
+def check_workers(workers) -> int:
+    """*workers* as an ``int``; :class:`~repro.errors.ChunkingError`
+    unless it is a non-negative integer (a ``bool`` is not)."""
+    if (
+        isinstance(workers, bool)
+        or not isinstance(workers, (int, np.integer))
+        or workers < 0
+    ):
+        raise ChunkingError(f"workers must be a non-negative int, got {workers!r}")
+    return int(workers)
 
 
 @dataclass(frozen=True)
@@ -79,113 +86,80 @@ class MultiCoreScanResult:
     workers: int
     n_slabs: int
     input_bytes: int
-    #: Total bytes scanned including the +X overlap redundancy.
+    #: Slab bytes plus the bytes re-read before each slab to carry its
+    #: entering state in.
     scanned_bytes: int
     wall_seconds: float
     worker_stats: List[WorkerStats]
 
     @property
     def overlap_redundancy(self) -> float:
-        """``scanned_bytes / input_bytes`` — the price of slab overlap."""
+        """``scanned_bytes / input_bytes`` — the price of slab seams."""
         if self.input_bytes == 0:
             return 1.0
         return self.scanned_bytes / self.input_bytes
 
 
-def _slab_plan(n: int, workers: int, overlap: int):
-    """One slab per worker (the last may own fewer bytes)."""
-    slab_len = max(-(-n // workers), 1)
-    return plan_chunks(n, slab_len, overlap)
-
-
 def scan_multicore(
-    dfa: DFA,
-    data: BytesLike,
-    *,
-    workers: int = 0,
-    chunk_len: int = DEFAULT_MC_CHUNK,
-    tile_len: int = DEFAULT_TILE_LEN,
+    dfa: DFA, data: BytesLike, *, workers: int = 0
 ) -> MultiCoreScanResult:
-    """Chunk-parallel multicore scan, byte-identical to the serial scan.
+    """Slab-parallel multicore scan, byte-identical to the serial scan.
 
-    The input is split into ``workers`` slabs; worker ``w`` scans the
-    window ``data[starts[w] : owned_ends[w] + overlap]`` through the
-    tiled engine and owns exactly the matches whose *start* lies inside
-    ``[starts[w], owned_ends[w])`` — the same start-ownership rule as
-    the GPU kernels, so no cross-slab occurrence is lost or doubled.
+    The input is split into one slab per worker (the last may be
+    shorter).  Worker ``w`` walks from the root over at most
+    ``max_length`` bytes before its slab ``[s, e)``, then runs
+    :func:`~repro.core.serial.scan_from` over the slab from the state
+    that walk ends in, so it reports exactly the serial matches whose
+    *end* lies in ``[s, e)``.
 
-    ``workers = 0`` uses one worker per usable core.  ``chunk_len``
-    is the per-lane owned length *inside* each slab (the lockstep
-    parallelism the tiled engine vectorizes over).
+    ``workers = 0`` uses one worker per usable core
+    (:func:`usable_cores`).
     """
-    if workers < 0:
-        raise ChunkingError(f"workers must be >= 0, got {workers}")
-    workers = workers or usable_cores()
+    workers = check_workers(workers) or usable_cores()
     arr = encode(data, name="data")
     n = int(arr.size)
-    if n == 0:
-        return MultiCoreScanResult(
-            matches=MatchResult.empty(),
-            workers=workers,
-            n_slabs=0,
-            input_bytes=0,
-            scanned_bytes=0,
-            wall_seconds=0.0,
-            worker_stats=[],
-        )
-
-    max_len = int(dfa.patterns.max_length)
-    overlap = required_overlap(max_len)
-    plan = _slab_plan(n, workers, overlap)
+    slab_len = max(-(-n // workers), 1)
+    starts = range(0, n, slab_len)
+    n_slabs = len(starts)
+    lead_len = int(dfa.patterns.max_length)
     # Build the shared gather table once, before the workers need it.
     dfa.gather_table(DEFAULT_BACKEND)
-    lengths = dfa.pattern_lengths
+    ends: List[Optional[np.ndarray]] = [None] * n_slabs
+    pids: List[Optional[np.ndarray]] = [None] * n_slabs
 
     def scan_slab(w: int) -> WorkerStats:
         t0 = time.perf_counter()
-        s = int(plan.starts[w])
-        owned_end = int(plan.owned_ends[w])
-        window_end = min(owned_end + overlap, n)
-        local = arr[s:window_end]
-        res = scan_tiled(
-            dfa,
-            local,
-            chunk_len=chunk_len,
-            overlap=overlap,
-            tile_len=tile_len,
-        )
-        ends = res.matches.ends + s
-        pids = res.matches.pattern_ids
-        # Slab ownership: keep matches starting before owned_end.  The
-        # lower bound is implicit — local starts are >= 0, so global
-        # starts are >= s already.
-        starts_of_match = ends - lengths[pids] + 1
-        own = starts_of_match < owned_end
-        results[w] = (ends[own], pids[own])
+        s = starts[w]
+        e = min(s + slab_len, n)
+        state = state_after(dfa, arr, s)
+        matches, _ = scan_from(dfa, arr[s:e], state, slabs=n_slabs)
+        ends[w] = matches.ends + s
+        pids[w] = matches.pattern_ids
         return WorkerStats(
             worker=w,
             start=s,
-            owned_end=owned_end,
-            scanned_bytes=int(local.size),
-            matches=int(np.count_nonzero(own)),
+            owned_end=e,
+            scanned_bytes=e - max(s - lead_len, 0),
+            matches=len(matches),
             seconds=time.perf_counter() - t0,
         )
 
-    results: List[Optional[tuple]] = [None] * plan.n_chunks
     t0 = time.perf_counter()
-    if plan.n_chunks == 1 or workers == 1:
-        stats = [scan_slab(w) for w in range(plan.n_chunks)]
+    if n_slabs < 2:
+        stats = [scan_slab(w) for w in range(n_slabs)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(scan_slab, range(plan.n_chunks)))
+        with ThreadPoolExecutor(max_workers=n_slabs) as pool:
+            stats = list(pool.map(scan_slab, range(n_slabs)))
     wall = time.perf_counter() - t0
 
-    ends = np.concatenate([r[0] for r in results])
-    pids = np.concatenate([r[1] for r in results])
+    if n_slabs:
+        merged = MatchResult(np.concatenate(ends), np.concatenate(pids))
+    else:
+        merged = MatchResult.empty()
     return MultiCoreScanResult(
-        matches=MatchResult(ends, pids),
+        matches=merged,
         workers=workers,
-        n_slabs=plan.n_chunks,
+        n_slabs=n_slabs,
         input_bytes=n,
         scanned_bytes=sum(st.scanned_bytes for st in stats),
         wall_seconds=wall,
@@ -232,38 +206,33 @@ def measure_multicore(
     *,
     workers: int = 0,
     repeats: int = 3,
-    chunk_len: int = DEFAULT_MC_CHUNK,
-    tile_len: int = DEFAULT_TILE_LEN,
 ) -> MulticoreMeasurement:
     """Measure real wall-clock ``scan_multicore`` speedup on this host.
 
-    Both sides scan the same bytes through the same tiled engine —
-    the serial leg is a one-worker :func:`scan_multicore`, so the only
-    difference between the legs is thread parallelism (not engine
-    shape).  ``min`` over *repeats* rejects scheduler noise the usual
-    way.  This is a *measurement*, so it depends on the machine it
-    runs on; the deterministic bench cells use the modeled
+    The serial leg is a one-worker :func:`scan_multicore`, which is
+    the serial scan itself: one slab, entered at the root, on
+    :func:`~repro.core.serial.match_serial`'s plan.  So the speedup is
+    the multicore scan against what the ``serial`` backend runs.
+    ``min`` over *repeats* rejects scheduler noise the usual way.
+    This is a *measurement*, so it depends on the machine it runs on;
+    the deterministic bench cells use the modeled
     :func:`~repro.bench.cpu_model.multicore_cost` curve, which a CI
     test validates against this measurement (docs/MODEL.md §11).
     """
     if repeats < 1:
         raise ChunkingError(f"repeats must be >= 1, got {repeats}")
-    workers = workers or usable_cores()
+    workers = check_workers(workers) or usable_cores()
     arr = encode(data, name="data")
-    # Untimed warm-up: pays one-time costs (compact-table build, buffer
-    # allocation, thread-pool spinup) outside both timed legs.
-    scan_multicore(
-        dfa, arr, workers=workers, chunk_len=chunk_len, tile_len=tile_len
-    )
+    # Untimed warm-up: builds the DFA's gather tables.  Every call still
+    # starts its own thread pool, whose threads allocate fresh tile
+    # buffers, so each timed multicore run pays both of those.
+    scan_multicore(dfa, arr, workers=workers)
 
     def best(n_workers: int) -> float:
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            scan_multicore(
-                dfa, arr, workers=n_workers, chunk_len=chunk_len,
-                tile_len=tile_len,
-            )
+            scan_multicore(dfa, arr, workers=n_workers)
             times.append(time.perf_counter() - t0)
         return min(times)
 

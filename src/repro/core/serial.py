@@ -7,8 +7,9 @@ Two implementations of phase 2 on one core:
   (slow; intended for tests and small inputs).
 * :func:`scan_from` — the one single-thread CPU scan.  The serial
   backend (:func:`match_serial`, which is also the resilient
-  pipeline's last fallback) and
-  :class:`~repro.core.streaming.StreamMatcher` both run it.  Inputs
+  pipeline's last fallback),
+  :class:`~repro.core.streaming.StreamMatcher` and every slab of
+  :func:`~repro.core.multicore.scan_multicore` run it.  Inputs
   shorter than :data:`VECTOR_THRESHOLD` take a scalar walk; longer
   ones run the tiled lockstep engine with chunk overlap, with lanes
   sized from the input (:func:`_lane_plan`).  Either way its match set
@@ -32,7 +33,9 @@ from repro.core.chunking import ChunkPlan, plan_chunks, required_overlap
 from repro.core.dfa import DFA
 from repro.core.jit import jit_kernels
 from repro.core.match import MatchResult
-from repro.core.tiled import DEFAULT_CHUNK_LEN, StateVisitHistogram, scan_tiled
+from repro.core.tiled import (
+    DEFAULT_CHUNK_LEN, DEFAULT_TILE_LEN, StateVisitHistogram, scan_tiled,
+)
 from repro.core.trie import ROOT
 
 #: Inputs shorter than this take the scalar walk; longer ones run the
@@ -62,18 +65,25 @@ def match_serial_python(dfa: DFA, text: BytesLike) -> List[Tuple[int, int]]:
     return out
 
 
-def _lane_plan(n: int, overlap: int) -> ChunkPlan:
-    """Lockstep geometry of a single-thread scan of *n* bytes.
+def _lane_plan(n: int, overlap: int, slabs: int = 1) -> ChunkPlan:
+    """Lockstep geometry of a scan of *n* bytes, one of *slabs* at once.
 
-    About :data:`_LANES` lanes, each owning at least ``4 × overlap``
-    bytes, so the overlap re-scan stays at or below 25% while the
-    overlap is at most ``_LANES / 4``.  No chunk is longer than the
-    input or than ``_LANES``, so below ``_LANES**2`` bytes a tile holds
-    at most ``DEFAULT_TILE_LEN × _LANES`` cells, and from ``_LANES**2``
+    About ``_LANES × slabs`` lanes (each op's dispatch holds the GIL,
+    so concurrent slabs want wider steps), each owning at least
+    ``4 × overlap`` bytes, so the overlap re-scan stays at or below 25%
+    while the overlap is at most ``_LANES / 4``.  No chunk is longer
+    than the input or than ``_LANES``, so from ``_LANES**2 × slabs``
     bytes on the plan is ``plan_chunks(n, _LANES, overlap)``.
     """
-    chunk = min(_LANES, max(4 * overlap, -(-n // _LANES)), n)
+    chunk = min(_LANES, max(4 * overlap, -(-n // (_LANES * slabs))), n)
     return plan_chunks(n, chunk, overlap)
+
+
+def _tile_len(lanes: int, slabs: int) -> int:
+    """Steps per tile for *slabs* concurrent scans of *lanes* lanes each:
+    at most ``DEFAULT_TILE_LEN × _LANES`` tile cells across all of them."""
+    cap = DEFAULT_TILE_LEN * _LANES // (lanes * slabs)
+    return max(min(DEFAULT_TILE_LEN, cap), 1)
 
 
 def _walk(dfa: DFA, data: np.ndarray, state: int) -> Tuple[np.ndarray, int]:
@@ -95,8 +105,21 @@ def _walk(dfa: DFA, data: np.ndarray, state: int) -> Tuple[np.ndarray, int]:
     return states, state
 
 
+def state_after(dfa: DFA, data: np.ndarray, pos: int, state: int = ROOT) -> int:
+    """The DFA state after ``data[:pos]``, entered in *state*.
+
+    It is the longest suffix of the stream that is a trie node, at most
+    ``max_length`` bytes long, so past ``max_length`` bytes a root walk
+    over the last ``max_length`` of them reproduces it.
+    """
+    max_len = int(dfa.patterns.max_length)
+    if pos > max_len:
+        return _walk(dfa, data[pos - max_len : pos], ROOT)[1]
+    return _walk(dfa, data[:pos], state)[1]
+
+
 def scan_from(
-    dfa: DFA, data: np.ndarray, state: int = ROOT
+    dfa: DFA, data: np.ndarray, state: int = ROOT, *, slabs: int = 1
 ) -> Tuple[MatchResult, int]:
     """The single-thread scan of *data* (uint8), entered in DFA *state*.
 
@@ -108,24 +131,21 @@ def scan_from(
 
     Short inputs walk the DFA byte by byte and extract matches
     vectorized.  Long ones run :func:`~repro.core.tiled.scan_tiled`
-    over :func:`_lane_plan` with *state* seeded into lane 0; the state
-    after the last byte is then the longest suffix of the stream that
-    is a trie node, which is at most ``max_length`` bytes long, so a
-    walk of the last ``max_length`` bytes from the root reproduces it.
+    over :func:`_lane_plan` with *state* seeded into lane 0, and take
+    the state after the last byte from :func:`state_after`.  *slabs*
+    is how many such scans run at once, this one included
+    (:func:`~repro.core.multicore.scan_multicore`); it widens the lanes
+    and shortens the tiles, never the matches.
     """
     n = int(data.size)
     if n < VECTOR_THRESHOLD:
         states, state = _walk(dfa, data, state)
         hit = np.flatnonzero(dfa.stt.match_flags[states] != 0)
         return MatchResult(*dfa.gather_matches(hit, states[hit])), state
-    max_len = int(dfa.patterns.max_length)
-    plan = _lane_plan(n, required_overlap(max_len))
-    matches = scan_tiled(dfa, data, plan=plan, init_state=state).matches
-    if n > max_len:
-        _, state = _walk(dfa, data[n - max_len :], ROOT)
-    else:
-        _, state = _walk(dfa, data, state)
-    return matches, state
+    plan = _lane_plan(n, required_overlap(dfa.patterns.max_length), slabs)
+    tile_len = _tile_len(plan.n_chunks, slabs)
+    res = scan_tiled(dfa, data, plan=plan, tile_len=tile_len, init_state=state)
+    return res.matches, state_after(dfa, data, n, state)
 
 
 def match_serial(dfa: DFA, text: BytesLike) -> MatchResult:

@@ -31,6 +31,7 @@ from repro.compress.backend import DEFAULT_BACKEND, resolve_backend
 from repro.core.alphabet import BytesLike
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
+from repro.core.multicore import check_workers
 from repro.core.pattern_set import PatternSet
 from repro.core.serial import match_serial
 from repro.core.serialization import load_dfa_meta, save_dfa
@@ -59,8 +60,9 @@ class Matcher:
     backend:
         ``"serial"`` (default), ``"serial_mt"`` or ``"gpu"``.
     workers:
-        Thread count for the ``serial_mt`` backend (0 → one per host
-        core).  Ignored by the other backends.
+        Thread count for the ``serial_mt`` backend (0 → one per usable
+        core); ignored by the other backends.  Anything but a
+        non-negative ``int`` raises :class:`~repro.errors.ChunkingError`.
     case_insensitive:
         Lowercase the dictionary at build time and every scanned text
         at scan time (the standard single-case AC trick used by IDS
@@ -121,6 +123,7 @@ class Matcher:
         workers: int = 0,
     ):
         _check_backend(backend)
+        workers = check_workers(workers)
         if not isinstance(patterns, PatternSet):
             patterns = PatternSet(patterns)
         if case_insensitive:
@@ -162,6 +165,7 @@ class Matcher:
         matches); :meth:`load` restores it from the artifact header.
         """
         _check_backend(backend)
+        workers = check_workers(workers)
         obj = cls.__new__(cls)
         obj._setup(
             dfa, backend=backend, case_insensitive=case_insensitive,

@@ -45,6 +45,44 @@ class TestCanonicalization:
             r.ends[0] = 5
 
 
+class TestAlreadyCanonicalInput:
+    """Keys that already ascend strictly skip the sort, nothing else."""
+
+    def test_fresh_equal_arrays_and_caller_stays_writeable(self):
+        ends = np.array([1, 4, 4, 9], dtype=np.int64)
+        pids = np.array([3, 0, 2, 1], dtype=np.int64)
+        r = MatchResult(ends, pids)
+        assert np.array_equal(r.ends, ends)
+        assert np.array_equal(r.pattern_ids, pids)
+        assert not np.shares_memory(r.ends, ends)
+        assert not np.shares_memory(r.pattern_ids, pids)
+        assert ends.flags.writeable and pids.flags.writeable
+        assert not r.ends.flags.writeable
+
+    def test_empty_input_stays_writeable(self):
+        ends = np.empty(0, dtype=np.int64)
+        pids = np.empty(0, dtype=np.int64)
+        MatchResult(ends, pids)
+        assert ends.flags.writeable and pids.flags.writeable
+
+    def test_sorted_input_with_duplicates_is_deduped(self):
+        r = MatchResult(np.array([1, 1, 2, 5, 5]), np.array([0, 0, 3, 1, 1]))
+        assert r.as_pairs() == [(1, 0), (2, 3), (5, 1)]
+
+    def test_equal_end_descending_ids_are_sorted(self):
+        r = MatchResult(np.array([1, 4, 4, 6]), np.array([0, 2, 1, 0]))
+        assert r.as_pairs() == [(1, 0), (4, 1), (4, 2), (6, 0)]
+
+    def test_concatenated_slab_results(self):
+        a = MatchResult.from_pairs([(0, 1), (2, 0), (2, 1)])
+        b = MatchResult.from_pairs([(3, 0), (7, 2)])
+        merged = MatchResult(
+            np.concatenate([a.ends, b.ends]),
+            np.concatenate([a.pattern_ids, b.pattern_ids]),
+        )
+        assert merged.as_pairs() == a.as_pairs() + b.as_pairs()
+
+
 I64_MAX = 2**63 - 1
 
 #: Values that land on both canonicalization paths: small non-negative
