@@ -779,6 +779,7 @@ def _cmd_serve(args) -> int:
         return 2
 
     if args.demo:
+        from repro.core import PatternSet
         from repro.serve import ScanScheduler
 
         tracer = Tracer()
@@ -786,8 +787,8 @@ def _cmd_serve(args) -> int:
         sched = ScanScheduler(
             max_batch=8, tracer=tracer, metrics=metrics
         )
-        ids = ["he", "she", "his", "hers"]
-        av = ["virus", "worm", "trojan"]
+        ids = PatternSet.from_strings(["he", "she", "his", "hers"])
+        av = PatternSet.from_strings(["virus", "worm", "trojan"])
         print("demo: two dictionaries, six requests, two drains")
         for pats, text in [
             (ids, "ushers in the house"),

@@ -61,7 +61,6 @@ class DFA:
         "_compact",
         "_backends",
         "_fused_dense",
-        "_digest",
         # Weak-referenceable so cache-eviction tests (and diagnostics)
         # can observe that an evicted automaton — and with it every
         # memoized gather/fused table it owns — was actually freed.
@@ -83,7 +82,6 @@ class DFA:
         self._compact = None
         self._backends = {}
         self._fused_dense = {}
-        self._digest = None
 
     # -- construction ---------------------------------------------------
 
@@ -215,27 +213,6 @@ class DFA:
             cached = (col_flat, cls_lut, flag_flat)
             self._fused_dense[key] = cached
         return cached
-
-    def content_digest(self) -> str:
-        """Hex digest of the pattern set this DFA was built from, cached.
-
-        The DFA (states, transitions, outputs) is a deterministic
-        function of its pattern list, so the digest identifies the
-        whole machine — the simulation segment cache
-        (:mod:`repro.kernels.segcache`) keys on it instead of holding
-        a reference that would pin the DFA in memory.
-        """
-        if self._digest is None:
-            import hashlib
-
-            h = hashlib.sha256()
-            blobs = self.patterns.as_bytes_list()
-            h.update(len(blobs).to_bytes(8, "little"))
-            for blob in blobs:
-                h.update(len(blob).to_bytes(8, "little"))
-                h.update(blob)
-            self._digest = h.hexdigest()
-        return self._digest
 
     def outputs_of(self, state: int) -> np.ndarray:
         """Pattern ids emitted on entering *state* (possibly empty)."""

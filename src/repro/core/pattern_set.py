@@ -14,13 +14,17 @@ would be indistinguishable at match time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+import hashlib
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.alphabet import BytesLike, decode, encode
 from repro.errors import PatternError
+
+#: Domain separator baked into every digest (bump on format change).
+_DIGEST_DOMAIN = b"repro-ac/pattern-set/v1\x00"
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,7 @@ class PatternSet:
     4
     """
 
-    __slots__ = ("_patterns", "_stats")
+    __slots__ = ("_patterns", "_stats", "_digests")
 
     def __init__(self, patterns: Iterable[BytesLike]):
         encoded: List[np.ndarray] = []
@@ -84,14 +88,19 @@ class PatternSet:
             encoded.append(arr)
         if not encoded:
             raise PatternError("pattern set must contain at least one pattern")
-        self._patterns: Tuple[np.ndarray, ...] = tuple(encoded)
-        lengths = [p.size for p in encoded]
+        self._adopt(encoded)
+
+    def _adopt(self, arrays: Sequence[np.ndarray]) -> None:
+        """Set every slot from validated arrays (all constructors end here)."""
+        self._patterns: Tuple[np.ndarray, ...] = tuple(arrays)
+        lengths = [p.size for p in self._patterns]
         self._stats = PatternStats(
-            count=len(encoded),
+            count=len(lengths),
             min_length=min(lengths),
             max_length=max(lengths),
             total_bytes=sum(lengths),
         )
+        self._digests: Dict[bool, str] = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -118,15 +127,7 @@ class PatternSet:
         (no empties, no duplicates, read-only buffers).
         """
         ps = cls.__new__(cls)
-        encoded = tuple(arrays)
-        lengths = [p.size for p in encoded]
-        ps._patterns = encoded
-        ps._stats = PatternStats(
-            count=len(encoded),
-            min_length=min(lengths),
-            max_length=max(lengths),
-            total_bytes=sum(lengths),
-        )
+        ps._adopt(arrays)
         return ps
 
     # -- protocol -------------------------------------------------------
@@ -171,6 +172,28 @@ class PatternSet:
     def max_length(self) -> int:
         """Length of the longest pattern (source of the chunk overlap X)."""
         return self._stats.max_length
+
+    def digest(self, case_insensitive: bool = False) -> str:
+        """Content digest of the set plus the fold flag (hex, 64 chars).
+
+        SHA-256 over a domain separator, ``ci=0``/``ci=1``, then every
+        pattern in id order behind its 4-byte little-endian length (so
+        ``["ab", "c"]`` and ``["a", "bc"]`` cannot collide), ASCII
+        lower-cased under the fold flag.  Two sets share a digest iff
+        they build byte-identical automata (docs/MODEL.md §8).  The set
+        is immutable, so each flag's value is computed once and kept.
+        """
+        ci = bool(case_insensitive)
+        value = self._digests.get(ci)
+        if value is None:  # racing first calls store the same value
+            h = hashlib.sha256(_DIGEST_DOMAIN)
+            h.update(b"ci=1\x00" if ci else b"ci=0\x00")
+            for p in self._patterns:
+                raw = p.tobytes().lower() if ci else p.tobytes()
+                h.update(len(raw).to_bytes(4, "little"))
+                h.update(raw)
+            value = self._digests[ci] = h.hexdigest()
+        return value
 
     def pattern_bytes(self, index: int) -> bytes:
         """Pattern *index* as ``bytes``."""

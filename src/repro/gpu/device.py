@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -220,7 +220,7 @@ class Device:
         self._texture_table: Optional[np.ndarray] = None
         self._texture_crcs: Optional[np.ndarray] = None
         self._allocated_bytes = 0
-        self._streams: List[Stream] = []
+        self._streams: Dict[str, Stream] = {}
         #: Lifetime count of texture binds (the serving scheduler and
         #: the bind-reuse regression test read this).
         self.bind_count = 0
@@ -237,17 +237,18 @@ class Device:
         """Create a modeled stream (``cudaStreamCreate``).
 
         Streams share the device's timing constants but keep their own
-        timelines; the scheduler's dual-stream pipeline creates a copy
-        stream and a compute stream per batch.
+        timelines.  A stream replaces an earlier one of the same name,
+        so the scheduler's per-batch ``h2d``/``compute`` pair leaves a
+        serving device holding two streams, not two per batch served.
         """
         s = Stream(self, name or f"stream{len(self._streams)}")
-        self._streams.append(s)
+        self._streams[s.name] = s
         return s
 
     @property
     def streams(self) -> Tuple[Stream, ...]:
-        """Streams created on this device, in creation order."""
-        return tuple(self._streams)
+        """Live streams, in order of each name's first creation."""
+        return tuple(self._streams.values())
 
     # -- host <-> device ---------------------------------------------------
 

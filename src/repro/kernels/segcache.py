@@ -11,11 +11,12 @@ content keys so identical work is done once per process.
 
 Keying rules (docs/MODEL.md §14):
 
-* the automaton is identified by
-  :meth:`repro.core.dfa.DFA.content_digest` — a digest of the pattern
-  list the DFA is a deterministic function of — **never** by holding a
-  DFA reference, so a cached segment cannot pin an evicted automaton
-  (:class:`repro.serve.cache.AutomatonCache` stays the only owner);
+* the automaton is identified by the digest of its pattern set
+  (:meth:`repro.core.pattern_set.PatternSet.digest`, memoized on the
+  set) — the DFA is a deterministic function of its pattern list —
+  **never** by holding a DFA reference, so a cached segment cannot pin
+  an evicted automaton (:class:`repro.serve.cache.AutomatonCache`
+  stays the only owner);
 * the input is identified by a content digest of its bytes, memoized
   per array object (weakref) so a resident bench text is hashed once;
 * every knob the segment's numbers depend on is part of the key: the
@@ -158,7 +159,7 @@ def segment_key(kind: str, dfa, arr: np.ndarray, *parts) -> Tuple:
     ``parts`` must be hashable scalars/strings (pass frozen dataclasses
     through ``repr``).  The DFA and data enter as content digests only.
     """
-    return (kind, dfa.content_digest(), data_digest(arr)) + tuple(parts)
+    return (kind, dfa.patterns.digest(), data_digest(arr)) + tuple(parts)
 
 
 def segment_get(key: Tuple) -> Optional[Any]:

@@ -7,10 +7,12 @@ automata by content digest, and :class:`ScanScheduler` fuses queued
 requests per dictionary into single kernel batches driven through a
 modeled dual-stream copy/compute pipeline (docs/MODEL.md §8).
 
+    >>> from repro.core import PatternSet
     >>> from repro.serve import ScanScheduler
+    >>> rules = PatternSet.from_strings(["he", "she"])  # digested once
     >>> s = ScanScheduler()
-    >>> t1 = s.submit(["he", "she"], "ushers")
-    >>> t2 = s.submit(["he", "she"], "checkers")
+    >>> t1 = s.submit(rules, "ushers")
+    >>> t2 = s.submit(rules, "checkers")
     >>> len(t1.result()), len(t2.result())
     (2, 1)
 

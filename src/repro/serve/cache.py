@@ -14,9 +14,11 @@ cached table is byte-identical to a fresh build.
 
 Keying rules (docs/MODEL.md §8):
 
-* the key is a SHA-256 over the patterns **in id order**, each
-  length-prefixed (so ``["ab","c"]`` and ``["a","bc"]`` cannot
-  collide), plus the ``case_insensitive`` build flag;
+* the key is :meth:`PatternSet.digest
+  <repro.core.pattern_set.PatternSet.digest>`: a SHA-256 over the
+  patterns **in id order**, each length-prefixed (so ``["ab","c"]``
+  and ``["a","bc"]`` cannot collide), plus the ``case_insensitive``
+  build flag, computed once per set and fold flag;
 * the fold flag is part of the key because a folded and an unfolded
   build of the same patterns are *different automata*;
 * pattern order matters — ids are positional and results carry
@@ -32,7 +34,6 @@ Keying rules (docs/MODEL.md §8):
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
@@ -46,9 +47,6 @@ from repro.core.pattern_set import PatternSet
 from repro.errors import IntegrityError, ReproError
 from repro.obs import NULL_METRICS, NULL_TRACER
 
-#: Domain separator baked into every digest (bump on format change).
-_DIGEST_DOMAIN = b"repro-ac/pattern-set/v1\x00"
-
 
 def pattern_set_digest(
     patterns: Union[Sequence, PatternSet], *, case_insensitive: bool = False
@@ -56,19 +54,13 @@ def pattern_set_digest(
     """Content digest of a dictionary + build flags (hex, 64 chars).
 
     Two pattern sets share a digest iff they build byte-identical
-    automata: same patterns, same id order, same fold flag.
+    automata: same patterns, same id order, same fold flag.  It is
+    :meth:`PatternSet.digest`, memoized on the set; a plain sequence
+    is validated and hashed again on every call.
     """
     if not isinstance(patterns, PatternSet):
         patterns = PatternSet(patterns)
-    h = hashlib.sha256()
-    h.update(_DIGEST_DOMAIN)
-    h.update(b"ci=1\x00" if case_insensitive else b"ci=0\x00")
-    for raw in patterns.as_bytes_list():
-        if case_insensitive:
-            raw = raw.lower()
-        h.update(len(raw).to_bytes(4, "little"))
-        h.update(raw)
-    return h.hexdigest()
+    return patterns.digest(case_insensitive)
 
 
 @dataclass
@@ -203,9 +195,9 @@ class AutomatonCache:
         construction — the cache-fuzz test pins this.
         """
         backend = resolve_backend(stt_backend)
-        digest = pattern_set_digest(
-            patterns, case_insensitive=case_insensitive
-        )
+        if not isinstance(patterns, PatternSet):
+            patterns = PatternSet(patterns)
+        digest = patterns.digest(case_insensitive)
         entry = self.get(digest, stt_backend=backend)
         if entry is not None:
             return entry, True
@@ -213,8 +205,6 @@ class AutomatonCache:
         self.metrics.counter(
             "automaton_cache_misses_total", "automaton cache misses"
         ).inc()
-        if not isinstance(patterns, PatternSet):
-            patterns = PatternSet(patterns)
         if case_insensitive:
             patterns = PatternSet.from_bytes(
                 [p.lower() for p in patterns.as_bytes_list()]

@@ -47,7 +47,7 @@ from repro.errors import ReproError
 from repro.matcher import Matcher
 from repro.obs import KernelProfiler, NULL_METRICS, NULL_TRACER
 from repro.obs.sketch import LatencySketch
-from repro.serve.cache import AutomatonCache, pattern_set_digest
+from repro.serve.cache import AutomatonCache
 from repro.serve.epoch import Epoch, EpochLease, EpochManager
 
 #: Backends the scheduler can drive a batch on.
@@ -332,16 +332,15 @@ class ScanScheduler:
         Pattern validation happens here (a malformed dictionary is the
         submitter's error, surfaced synchronously); the automaton build
         is deferred to the batch so repeats of an already-cached
-        dictionary never build at all.
+        dictionary never build at all.  Submit a :class:`PatternSet`
+        built once: it is digested once, a plain sequence on every call.
         """
         if not isinstance(patterns, PatternSet):
             patterns = PatternSet(patterns)
         now = self.clock()
         request = ScanRequest(
             request_id=self._next_id,
-            digest=pattern_set_digest(
-                patterns, case_insensitive=case_insensitive
-            ),
+            digest=patterns.digest(case_insensitive),
             patterns=patterns,
             text=text,
             case_insensitive=case_insensitive,
@@ -403,6 +402,8 @@ class ScanScheduler:
     ) -> List[MatchResult]:
         """Submit *texts* against one dictionary and drain; results in
         input order."""
+        if not isinstance(patterns, PatternSet):
+            patterns = PatternSet(patterns)
         tickets = [
             self.submit(
                 patterns, t, case_insensitive=case_insensitive,

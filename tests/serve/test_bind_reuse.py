@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import PatternSet, integrity
+from repro.gpu.device import Device
 from repro.matcher import Matcher
 from repro.obs import Tracer
 from repro.serve import ScanScheduler
+from repro.serve.cache import CacheEntry
 from repro.workload.packets import PacketStream
 
 IDS = ["he", "she", "his", "hers"]
@@ -94,3 +97,36 @@ class TestSchedulerBindReuse:
             True,
             True,
         ]
+
+    def test_repeat_batch_runs_two_row_crc_passes(self, monkeypatch):
+        """Skipping the bind keeps both integrity checks: a repeat gpu
+        batch re-checksums the table once for the cache hit and once
+        for the texture, and no other row-CRC pass runs."""
+        sched = ScanScheduler()
+        rules = PatternSet.from_strings(IDS)
+        sched.scan_many(rules, ["ushers", "she"])
+        calls = []
+
+        def tagged(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            integrity,
+            "stt_row_checksums",
+            tagged("row_crc", integrity.stt_row_checksums),
+        )
+        monkeypatch.setattr(
+            CacheEntry, "verify", tagged("cache_verify", CacheEntry.verify)
+        )
+        monkeypatch.setattr(
+            Device,
+            "verify_texture",
+            tagged("verify_texture", Device.verify_texture),
+        )
+        sched.scan_many(rules, ["hers", "his"])
+        assert sched.reports[-1].bind_skipped
+        assert calls == ["cache_verify", "row_crc", "verify_texture", "row_crc"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import PatternSet
 from repro.errors import ReproError
 from repro.matcher import Matcher
 from repro.obs import Metrics, Tracer
@@ -90,6 +91,22 @@ class TestCacheAndBindReuse:
         assert not sched.reports[-1].cache_hit
 
 
+class TestListDictionary:
+    def test_scan_many_validates_a_list_once(self, monkeypatch):
+        built = []
+        real_init = PatternSet.__init__
+
+        def counting_init(self, patterns):
+            built.append(1)
+            real_init(self, patterns)
+
+        monkeypatch.setattr(PatternSet, "__init__", counting_init)
+        texts = ["ushers %d" % i for i in range(16)]
+        results = ScanScheduler().scan_many(IDS, texts)
+        assert len(built) == 1
+        assert results == [Matcher(IDS).scan(t) for t in texts]
+
+
 class TestPipelineModel:
     def test_timing_invariants(self):
         sched = ScanScheduler(max_batch=8)
@@ -127,6 +144,24 @@ class TestPipelineModel:
         # Compute never starts a chunk before its copy lands.
         for c, k in zip(copy_ops, kernel_ops):
             assert k.t_start >= c.t_end
+
+    def test_long_lived_device_keeps_one_stream_pair(self):
+        """Each batch's h2d/compute streams replace the last batch's, so
+        a serving device does not grow with the batches it served."""
+        rules = PatternSet.from_strings(IDS)
+        texts = ["ushers", "she sells", "hers"]
+        sched = ScanScheduler()
+        for _ in range(50):
+            sched.scan_many(rules, texts)
+        device = sched._matchers[pattern_set_digest(rules)].device
+        assert len(device.streams) == 2
+        fresh = ScanScheduler()
+        fresh.scan_many(rules, texts)
+        fresh_device = fresh._matchers[pattern_set_digest(rules)].device
+        assert [s.name for s in device.streams] == ["h2d", "compute"]
+        assert [s.ops for s in device.streams] == [
+            s.ops for s in fresh_device.streams
+        ]
 
     def test_cpu_backend_has_no_pipeline(self):
         sched = ScanScheduler(backend="serial")
