@@ -218,15 +218,39 @@ class DFA:
         """Pattern ids emitted on entering *state* (possibly empty)."""
         return self.out_ids[self.out_offsets[state] : self.out_offsets[state + 1]]
 
+    def expand_outputs(self, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The CSR expansion of matched states into emitted pattern ids.
+
+        A state can emit several patterns ("she" also emits "he").  Each
+        state's output count is looked up once; the state's index is
+        repeated by it, and the flat ids are gathered with a
+        cumulative-offset trick.
+
+        Returns
+        -------
+        (source, pattern_ids):
+            int64 arrays, one entry per emitted occurrence, in input
+            order: ``source[i]`` is the index into *states* of the
+            state that emitted ``pattern_ids[i]``.
+        """
+        states = np.asarray(states, dtype=np.int64)
+        starts = np.take(self.out_offsets, states)
+        counts = np.take(self.out_offsets, states + 1) - starts
+        total = int(counts.sum())
+        if total == 0:
+            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        source = np.repeat(np.arange(states.size, dtype=np.int64), counts)
+        # Index into out_ids: for state k with count c_k, the gathered
+        # indices are starts[k], starts[k]+1, ..., starts[k]+c_k-1.
+        starts -= np.cumsum(counts) - counts
+        idx = np.arange(total, dtype=np.int64)
+        idx += np.take(starts, source)
+        return source, np.take(self.out_ids, idx)
+
     def gather_matches(
         self, positions: np.ndarray, states: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Expand (position, matched-state) pairs into (end, pattern_id).
-
-        A state can emit several patterns ("she" also emits "he"); this
-        performs the CSR expansion fully vectorized: each input pair is
-        repeated by its output count, then the flat ids are gathered
-        with a cumulative-offset trick.
 
         Parameters
         ----------
@@ -237,23 +261,11 @@ class DFA:
         Returns
         -------
         (ends, pattern_ids):
-            int64 arrays, one entry per emitted occurrence.
+            int64 arrays, one entry per emitted occurrence, from
+            :meth:`expand_outputs`.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        states = np.asarray(states, dtype=np.int64)
-        starts = self.out_offsets[states]
-        counts = self.out_offsets[states + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-        ends = np.repeat(positions, counts)
-        # Index into out_ids: for pair k with count c_k, the gathered
-        # indices are starts[k], starts[k]+1, ..., starts[k]+c_k-1.
-        cum = np.cumsum(counts)
-        idx = np.arange(total, dtype=np.int64)
-        idx -= np.repeat(cum - counts, counts)
-        idx += np.repeat(starts, counts)
-        return ends, self.out_ids[idx]
+        source, pattern_ids = self.expand_outputs(states)
+        return np.asarray(positions, dtype=np.int64)[source], pattern_ids
 
     def verify_against_automaton(self, ac: AhoCorasickAutomaton) -> bool:
         """Exhaustively check δ(s, a) == ac.step(s, a) for all s, a.

@@ -20,9 +20,10 @@ engine (property-tested in ``tests/core/test_tiled.py``):
 * **step-axis-only tiling** — tiles split the *step* axis, so the
   (step × half-warp) row grouping every modeled counter is defined
   over is preserved and all row-wise statistics are additive;
-* **ordered extraction** — ``np.nonzero`` is row-major and tiles
-  partition rows in order, so concatenated per-tile matches reproduce
-  the monolithic extraction order exactly.
+* **ordered extraction** — ``np.flatnonzero`` over the C-contiguous
+  hit tile is row-major and tiles partition rows in order, so
+  concatenated per-tile matches reproduce the monolithic extraction
+  order exactly.
 
 The hot path is fully vectorized at tile granularity over a
 *column-major* fused transition table: the per-step δ-gather is
@@ -263,10 +264,12 @@ class TileView:
     plan:
         The chunk geometry of the scan.
     hits:
-        Same shape bool — match flag of ``states_after`` (NOT masked
-        by validity), or None unless requested via ``want_hits``.
-        Gathered inside the step on the fused path, so requesting it
-        costs one extra take per step, not a separate pass.
+        Same shape bool — match flag of ``states_after``, or None
+        unless requested via ``want_hits``.  Gathered inside the step
+        on the fused path, so requesting it costs one extra take per
+        step, not a separate pass.  :func:`iter_dfa_tiles` does not
+        mask it by validity; :func:`scan_tiled` clears the cells past
+        the input before its sinks see the tile.
     """
 
     j0: int
@@ -502,7 +505,9 @@ def scan_tiled(
 
     Match extraction (flag test, CSR output expansion, overlap
     ownership) is fused into each tile, so nothing proportional to the
-    input is retained.  ``sinks`` are objects with an ``on_tile(tile)``
+    input is retained: the hit cells' flat indices give each hit's step
+    and thread, and :meth:`~repro.core.dfa.DFA.expand_outputs` expands
+    their states.  ``sinks`` are objects with an ``on_tile(tile)``
     method; a sink class sets ``needs_windows`` / ``needs_fetched``
     to request those tile fields.
 
@@ -533,6 +538,12 @@ def scan_tiled(
     kc = np.searchsorted(
         -remaining, -np.arange(plan.window_len, dtype=np.int64), side="left"
     )
+    # Threads whose window runs past the input (a suffix of threads),
+    # each with its first step past the input.
+    short = [
+        (t, int(remaining[t]))
+        for t in np.flatnonzero(remaining < plan.window_len).tolist()
+    ]
 
     init_states = None
     if init_state != ROOT:
@@ -557,30 +568,34 @@ def scan_tiled(
         want_valid=want_valid,
     ):
         n_tiles += 1
-        bytes_scanned += int(kc[tile.j0 : tile.j1].sum())
+        j0 = tile.j0
+        bytes_scanned += int(kc[j0 : tile.j1].sum())
 
-        # tile.hits is unmasked (padded cells step on byte 0 and can
-        # land in a match state when a pattern contains NUL); the
-        # analytic prefix filter drops them after the — typically
-        # empty — extraction, instead of masking every cell.
-        if np.count_nonzero(tile.hits):
-            j_idx, t_idx = np.nonzero(tile.hits)
-            keep = t_idx < kc[tile.j0 + j_idx]
-            if not keep.all():
-                j_idx = j_idx[keep]
-                t_idx = t_idx[keep]
-            raw_hits += int(j_idx.size)
-            if j_idx.size:
-                ends = plan.starts[t_idx] + j_idx + tile.j0
-                states = tile.states_after[j_idx, t_idx].astype(np.int64)
-                counts = dfa.out_offsets[states + 1] - dfa.out_offsets[states]
-                exp_ends, exp_pids = dfa.gather_matches(ends, states)
-                exp_threads = np.repeat(t_idx, counts)
-                own = ownership_mask(
-                    plan, exp_threads, exp_ends, dfa.pattern_lengths[exp_pids]
-                )
-                ends_parts.append(exp_ends[own])
-                pids_parts.append(exp_pids[own])
+        # Padded cells step on byte 0 and can land in a match state
+        # when a pattern contains NUL: clear the few past the input.
+        hits = tile.hits
+        for t, r in short:
+            if r < tile.j1:
+                hits[max(r - j0, 0) :, t] = False
+        # Row-major flat indices: tiles partition the steps in order,
+        # so per-tile matches concatenate in the monolithic order.
+        flat = np.flatnonzero(hits)
+        raw_hits += int(flat.size)
+        if flat.size:
+            states = np.take(tile.states_after, flat)
+            steps, threads = np.divmod(flat, plan.n_chunks)
+            ends = plan.starts[threads] + steps
+            ends += j0
+            del flat, steps
+            source, pids = dfa.expand_outputs(states)
+            del states
+            ends = ends[source]
+            threads = threads[source]
+            del source
+            own = ownership_mask(plan, threads, ends, dfa.pattern_lengths[pids])
+            ends_parts.append(ends[own])
+            pids_parts.append(pids[own])
+            del ends, pids, threads, own
 
         for sink in sinks:
             sink.on_tile(tile)

@@ -44,7 +44,7 @@ from repro.core.alphabet import STT_COLUMNS, encode
 from repro.core.chunking import ChunkPlan
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
-from repro.core.tiled import iter_dfa_tiles, scan_tiled
+from repro.core.tiled import scan_tiled
 from repro.errors import LaunchError, MemoryModelError
 from repro.gpu.config import DeviceConfig, Occupancy
 from repro.gpu.counters import EventCounters, TimingBreakdown
@@ -243,10 +243,11 @@ def _stt_line_id_limit(n_states: int, line_bytes: int) -> int:
 class TextureLineHistogram:
     """Tile sink: dense per-line fetch histogram of the STT texture.
 
-    Pass 1 of the tiled texture accounting.  Its nonzero entries are,
-    by construction, the exact ``(uniq, counts)`` pair ``np.unique``
-    returns over the monolithic trace, so the hot sets derived from it
-    are byte-identical to the old whole-trace path.
+    The CPU cost model's sink (``ExperimentRunner._serial``, the swap
+    bench): its nonzero entries are, by construction, the exact
+    ``(uniq, counts)`` pair ``np.unique`` returns over the monolithic
+    trace.  The GPU kernels rank lines with
+    :class:`TextureClassifier` instead.
     """
 
     needs_fetched = True
@@ -274,9 +275,87 @@ class TextureLineHistogram:
         uniq = np.flatnonzero(self.hist)
         return uniq, self.hist[uniq]
 
+
+#: Kept half-warp rows per classification block: bounds the block's
+#: transients (the flag gather's index cast and the lane masks).
+_CLASSIFY_ROWS = 1 << 14
+
+
+class TextureClassifier:
+    """Tile sink: two-level texture accounting in one walk of the trace.
+
+    The AC kernels' one texture sink.  :meth:`on_tile` computes each
+    tile's line ids once and keeps the tile's (step × half-warp) rows,
+    each sorted, with invalid lanes and the last half-warp's missing
+    lanes as -1 — 4 B per trace cell with int32 line ids.  Tiles split
+    the step axis only, so every row is whole in one tile and all
+    row-wise counts are additive.  After the scan, :meth:`ranking`
+    sorts the kept valid line ids into the line histogram,
+    :meth:`hot_sets` fixes both hot sets from that one ranking, and
+    :meth:`classify` gathers each lane's flags (bit 0 L1-hot, bit 1
+    L2-hot, read independently so hot sets need not nest) once; the
+    first occurrence of a line in a sorted row is one distinct line
+    request.  :meth:`finish` runs all three.  The resulting
+    :class:`TextureTraffic` is byte-identical to classifying the whole
+    trace at once.
+    """
+
+    needs_fetched = True
+    needs_windows = True
+
+    def __init__(self, n_states: int, line_bytes: int, lanes: int = 16):
+        self.n_states = n_states
+        self.line_bytes = line_bytes
+        self.lanes = lanes
+        #: The kept rows, one ``(steps × half-warps, lanes)`` block per tile.
+        self.rows = []
+        self.accesses = 0
+        self.total_valid = 0
+
+    def on_tile(self, tile) -> None:
+        """Keep one tile's sorted, -1-padded half-warp rows of line ids."""
+        line_ids = stt_line_ids(
+            tile.fetched, tile.windows, line_bytes=self.line_bytes,
+            n_states=self.n_states,
+        )
+        n_steps, n_threads = line_ids.shape
+        width = -(-n_threads // self.lanes) * self.lanes
+        rows = np.full((n_steps, width), -1, dtype=line_ids.dtype)
+        np.copyto(rows[:, :n_threads], line_ids, where=tile.valid)
+        del line_ids
+        rows = rows.reshape(-1, self.lanes)
+        rows.sort(axis=1)
+        self.rows.append(rows)
+        self.accesses += int(np.count_nonzero(rows[:, -1] >= 0))
+        self.total_valid += int(np.count_nonzero(tile.valid))
+
+    def ranking(self):
+        """The ``(uniq, counts)`` line histogram of the valid fetches.
+
+        Ascending line ids with int64 counts, from one sort of the kept
+        line ids — the arrays ``np.unique(..., return_counts=True)``
+        returns over the valid trace.
+        """
+        ids = np.concatenate([rows.ravel() for rows in self.rows])
+        ids.sort()
+        ids = ids[np.searchsorted(ids, 0) :]  # drop the -1 padding
+        if ids.size == 0:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        starts = np.flatnonzero(ids[1:] != ids[:-1])
+        starts += 1
+        starts = np.concatenate(([0], starts))
+        counts = np.diff(starts, append=ids.size)
+        return ids[starts].astype(np.int64), counts
+
     def hot_sets(self, config: DeviceConfig, params: CostParams):
-        """(hot_l1, hot_l2) under the hot-set LRU approximation."""
-        uniq, counts = self.nonzero()
+        """(hot_l1, hot_l2) under the hot-set LRU approximation.
+
+        Each level holds its capacity's most-fetched lines, sorted —
+        :func:`hot_line_set_from_counts` of :meth:`ranking` — with one
+        ``argsort`` of the counts ranking both levels, so L1-hot ⊂
+        L2-hot by construction.
+        """
+        uniq, counts = self.ranking()
         l1_capacity = int(
             config.texture_cache.n_lines * params.tex_capacity_efficiency
         )
@@ -284,109 +363,72 @@ class TextureLineHistogram:
             (config.texture_l2_bytes // self.line_bytes)
             * params.tex_capacity_efficiency
         )
-        # Nested hot sets: L1-hot ⊂ L2-hot by construction (same ranking).
-        hot_l1 = hot_line_set_from_counts(uniq, counts, l1_capacity)
-        hot_l2 = hot_line_set_from_counts(uniq, counts, l2_capacity)
-        return hot_l1, hot_l2
+        order = np.argsort(counts)[::-1]
+        return tuple(
+            np.sort(uniq[order[:capacity]])
+            for capacity in (l1_capacity, l2_capacity)
+        )
 
-
-class TextureClassifier:
-    """Tile sink: two-level hit/miss classification against fixed hot sets.
-
-    Pass 2 of the tiled texture accounting.  Tiles split the step axis
-    only, so the (step × half-warp) rows every statistic is defined
-    over are preserved and all row-wise counts are additive; the final
-    :class:`TextureTraffic` is byte-identical to classifying the whole
-    trace at once.  Per tile, each row is sorted once and its lanes'
-    flags (bit 0 L1-hot, bit 1 L2-hot) are gathered once; the first
-    occurrence of a line in a sorted row is one distinct line request.
-    """
-
-    needs_fetched = True
-    needs_windows = True
-
-    def __init__(
-        self,
-        hot_l1: np.ndarray,
-        hot_l2: np.ndarray,
-        n_states: int,
-        line_bytes: int,
-        lanes: int = 16,
-    ):
-        self.n_states = n_states
-        self.line_bytes = line_bytes
-        self.lanes = lanes
+    def classify(
+        self, hot_l1: np.ndarray, hot_l2: np.ndarray, config: DeviceConfig
+    ) -> TextureTraffic:
+        """Classify every kept fetch against the given hot sets."""
         # One slot past the last line: the -1 padding lanes read flag 4.
-        self.flags = np.zeros(
-            _stt_line_id_limit(n_states, line_bytes) + 1, dtype=np.uint8
+        flag_lut = np.zeros(
+            _stt_line_id_limit(self.n_states, self.line_bytes) + 1,
+            dtype=np.uint8,
         )
-        self.flags[hot_l1] |= 1
-        self.flags[hot_l2] |= 2
-        self.flags[-1] = 4
-        self.accesses = 0
-        self.l2_lines = 0
-        self.dram_lines = 0
-        self.total_lines = 0
-        self.dram_instr = 0
-        self.total_valid = 0
-        self.n_l2_lanes = 0
-        self.n_dram_lanes = 0
-
-    def on_tile(self, tile) -> None:
-        """Classify one tile's fetches against the fixed hot sets."""
-        line_ids = stt_line_ids(
-            tile.fetched, tile.windows, line_bytes=self.line_bytes,
-            n_states=self.n_states,
-        )
-        n_steps, n_threads = line_ids.shape
-        # Invalid lanes and the last half-warp's missing lanes are -1.
-        width = -(-n_threads // self.lanes) * self.lanes
-        rows = np.full((n_steps, width), -1, dtype=line_ids.dtype)
-        np.copyto(rows[:, :n_threads], line_ids, where=tile.valid)
-        rows = rows.reshape(-1, self.lanes)
-        rows.sort(axis=1)
-        first = np.empty(rows.shape, dtype=bool)
-        first[:, 0] = rows[:, 0] >= 0
-        np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
-        flags = self.flags[rows]
-        l2_serviced = flags == 2  # L2-hot, not L1-hot
-        dram = flags < 2  # not L2-hot (hot sets need not nest)
-
-        self.accesses += int(np.count_nonzero(rows[:, -1] >= 0))
-        self.l2_lines += int(np.count_nonzero(first & l2_serviced))
-        self.dram_lines += int(np.count_nonzero(first & dram))
-        self.total_lines += int(np.count_nonzero(first))
-        self.dram_instr += int(np.count_nonzero(dram.any(axis=1)))
-        self.total_valid += int(np.count_nonzero(tile.valid))
-        self.n_l2_lanes += int(np.count_nonzero(l2_serviced))
-        self.n_dram_lanes += int(np.count_nonzero(dram))
-
-    def finish(self, config: DeviceConfig) -> TextureTraffic:
-        """Assemble the accumulated counts into a :class:`TextureTraffic`."""
+        flag_lut[hot_l1] |= 1
+        flag_lut[hot_l2] |= 2
+        flag_lut[-1] = 4
+        l2_lines = dram_lines = total_lines = dram_instr = 0
+        n_l2_lanes = n_dram_lanes = 0
+        for rows in self.rows:
+            for r0 in range(0, rows.shape[0], _CLASSIFY_ROWS):
+                block = rows[r0 : r0 + _CLASSIFY_ROWS]
+                first = np.empty(block.shape, dtype=bool)
+                first[:, 0] = block[:, 0] >= 0
+                np.not_equal(block[:, 1:], block[:, :-1], out=first[:, 1:])
+                flags = np.take(flag_lut, block)
+                l2_serviced = flags == 2  # L2-hot, not L1-hot
+                dram = flags < 2  # not L2-hot (hot sets need not nest)
+                total_lines += int(np.count_nonzero(first))
+                l2_lines += int(np.count_nonzero(first & l2_serviced))
+                dram_lines += int(np.count_nonzero(first & dram))
+                dram_instr += int(np.count_nonzero(dram.any(axis=1)))
+                n_l2_lanes += int(np.count_nonzero(l2_serviced))
+                n_dram_lanes += int(np.count_nonzero(dram))
         # Mean-lane severity: each lane contributes its own latency; the
         # instruction's expected stall is the lane average.
         if self.total_valid:
             lane_avg_total = (
-                self.n_l2_lanes * config.texture_l2_latency_cycles
-                + self.n_dram_lanes * config.texture_miss_latency_cycles
+                n_l2_lanes * config.texture_l2_latency_cycles
+                + n_dram_lanes * config.texture_miss_latency_cycles
             ) / self.lanes
         else:
             lane_avg_total = 0.0
         return TextureTraffic(
             accesses=self.accesses,
             dependent_latency_cycles=lane_avg_total,
-            l2_line_requests=self.l2_lines,
-            dram_line_requests=self.dram_lines,
+            l2_line_requests=l2_lines,
+            dram_line_requests=dram_lines,
             dram_instr_rate=(
-                self.dram_instr / self.accesses if self.accesses else 0.0
+                dram_instr / self.accesses if self.accesses else 0.0
             ),
             lane_l1_hit_rate=(
-                1.0 - (self.n_l2_lanes + self.n_dram_lanes) / self.total_valid
+                1.0 - (n_l2_lanes + n_dram_lanes) / self.total_valid
                 if self.total_valid
                 else 1.0
             ),
-            total_line_requests=self.total_lines,
+            total_line_requests=total_lines,
         )
+
+    def finish(
+        self, config: DeviceConfig, params: CostParams
+    ) -> TextureTraffic:
+        """The scan's :class:`TextureTraffic`: rank, fix the hot sets,
+        classify."""
+        return self.classify(*self.hot_sets(config, params), config)
 
 
 @dataclass
@@ -490,14 +532,18 @@ def scan_segment(
     tracer,
     extra_sink=None,
 ) -> ScanSegment:
-    """Tiled scan plus two-pass texture accounting, memoized by content.
+    """Tiled scan plus texture accounting in one walk, memoized by content.
 
-    Pass 1 fuses match extraction, the texture line histogram and the
-    optional ``extra_sink`` (an ``on_tile``/``finish`` object) into one
-    :func:`~repro.core.tiled.scan_tiled` run; pass 2 classifies every
-    fetch against the hot sets the histogram fixed.  Peak memory stays
-    O(n_threads × tile_len) while every modeled counter is
-    byte-identical to the whole-trace computation.
+    One :func:`~repro.core.tiled.scan_tiled` run fuses match
+    extraction, the :class:`TextureClassifier` (which keeps each tile's
+    sorted half-warp rows of line ids) and the optional ``extra_sink``
+    (an ``on_tile``/``finish`` object).  After the last tile the
+    classifier ranks the lines, fixes both hot sets and classifies its
+    kept rows, so the DFA walks the input once and every modeled
+    counter is byte-identical to the whole-trace computation.  The
+    kept rows cost 4 B per trace cell; at the shared kernel's geometry
+    a window (chunk + overlap steps) fits in one default tile, and a
+    ``tile_len`` below the window keeps the rows of several tiles.
 
     The result is cached under ``kind``, the automaton and input
     digests, the resolved backend name, the tile length, the chunk
@@ -528,13 +574,11 @@ def scan_segment(
             )
         return seg
 
-    line_bytes = config.texture_cache.line_bytes
-    hist = TextureLineHistogram(dfa.n_states, line_bytes)
-    sinks = [hist] if extra_sink is None else [hist, extra_sink]
+    texture = TextureClassifier(dfa.n_states, config.texture_cache.line_bytes)
+    sinks = [texture] if extra_sink is None else [texture, extra_sink]
     # Chain/lookup counters are cumulative on the adapter the DFA
-    # memoizes (the one the scans below gather through); snapshot
-    # around the functional pass so the recorded cost covers exactly
-    # this scan (the classifier re-pass below is excluded).
+    # memoizes (the one the scan below gathers through); snapshot
+    # around the scan so the recorded cost covers exactly this scan.
     table = dfa.gather_table(backend)
     before = cost_of(dfa, table, backend)
     with tracer.span("ownership_filter") as sp:
@@ -544,24 +588,11 @@ def scan_segment(
         )
         sp.set(raw_hits=outcome.raw_hits, matches=len(outcome.matches))
     after = cost_of(dfa, table, backend)
-
-    hot_l1, hot_l2 = hist.hot_sets(config, params)
-    classifier = TextureClassifier(hot_l1, hot_l2, dfa.n_states, line_bytes)
-    for tile in iter_dfa_tiles(
-        dfa,
-        arr,
-        plan,
-        tile_len=tile_len,
-        stt_backend=backend,
-        want_windows=True,
-        want_fetched=True,
-    ):
-        classifier.on_tile(tile)
     seg = ScanSegment(
         matches=outcome.matches,
         raw_hits=outcome.raw_hits,
         bytes_scanned=outcome.bytes_scanned,
-        tex=classifier.finish(config),
+        tex=texture.finish(config, params),
         backend_cost=dataclasses.replace(
             after,
             lookups=after.lookups - before.lookups,

@@ -54,6 +54,20 @@ from repro.serve.epoch import Epoch, EpochLease, EpochManager
 SCHEDULER_BACKENDS = ("gpu", "serial")
 
 
+class _LatestLaunch(KernelProfiler):
+    """A scheduler's own profiler: keeps only the latest launch's report.
+
+    The pipeline model reads nothing else, so a long-lived scheduler
+    does not hold one report per batch it served.
+    """
+
+    def observe(self, result):
+        """Record one kernel result, dropping the previous report."""
+        report = super().observe(result)
+        del self.reports[:-1]
+        return report
+
+
 @dataclass(frozen=True)
 class ScanRequest:
     """One queued scan: a dictionary reference plus input bytes.
@@ -215,10 +229,12 @@ class ScanScheduler:
         Observability hooks, all optional and zero-cost when absent.
         The tracer records ``serve_drain`` → ``serve_batch`` span trees
         (Perfetto-exportable via :func:`repro.obs.to_chrome_trace`);
-        metrics gain queue-depth/batch-size series; the profiler
-        receives every batch's kernel launch.  When no profiler is
-        given the scheduler keeps a private one — the pipeline model
-        prices kernel slices from the batch's observed launch.
+        metrics gain queue-depth/batch-size series; a caller's
+        profiler receives every batch's kernel launch.  When no
+        profiler is given the scheduler keeps a private one holding
+        only the latest launch's report — the pipeline model prices
+        kernel slices from the batch's observed launch and reads
+        nothing older.
     tile_len:
         Step-tile size for the tiled streaming engine behind every
         matcher this scheduler builds (default: the engine's).  Peak
@@ -293,7 +309,7 @@ class ScanScheduler:
         self.profiler = (
             profiler
             if profiler is not None
-            else KernelProfiler(device_config)
+            else _LatestLaunch(device_config)
         )
         self.cache = cache if cache is not None else AutomatonCache(
             cache_capacity, metrics=self.metrics, tracer=self.tracer

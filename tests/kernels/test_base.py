@@ -17,6 +17,7 @@ from repro.kernels.base import (
     TextureTraffic,
     grouped_thread_addresses,
     hot_line_set,
+    hot_line_set_from_counts,
     scan_segment,
 )
 from repro.obs import NULL_TRACER
@@ -187,13 +188,17 @@ class TestTextureSinksDifferential:
         synthetic_tiles(),
         st.sampled_from(["histogram", "empty", "all", "nested", "not_nested"]),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([0.8, 0.02, 0.004]),
     )
-    def test_matches_set_reference(self, case, hot_kind, seed):
+    def test_matches_set_reference(self, case, hot_kind, seed, efficiency):
         n_states, tiles = case
         config = gtx285()
+        params = CostParams(tex_capacity_efficiency=efficiency)
         hist = TextureLineHistogram(n_states, LINE_BYTES)
+        texture = TextureClassifier(n_states, LINE_BYTES)
         for tile in tiles:
             hist.on_tile(tile)
+            texture.on_tile(tile)
         seen = Counter(
             line_of(int(s), int(b))
             for tile in tiles
@@ -202,10 +207,24 @@ class TestTextureSinksDifferential:
         uniq, counts = hist.nonzero()
         assert dict(zip(uniq.tolist(), counts.tolist())) == dict(seen)
 
+        # The kept rows rank lines exactly as the dense histogram does.
+        ranked_uniq, ranked_counts = texture.ranking()
+        assert ranked_uniq.dtype == ranked_counts.dtype == np.int64
+        assert np.array_equal(ranked_uniq, uniq)
+        assert np.array_equal(ranked_counts, counts)
+        hot_sets = texture.hot_sets(config, params)
+        capacities = (
+            int(config.texture_cache.n_lines * efficiency),
+            int(config.texture_l2_bytes // LINE_BYTES * efficiency),
+        )
+        for hot, capacity in zip(hot_sets, capacities):
+            want = hot_line_set_from_counts(uniq, counts, capacity)
+            assert hot.dtype == want.dtype and np.array_equal(hot, want)
+
         n_lines = hist.hist.size
         rng = np.random.default_rng(seed)
         if hot_kind == "histogram":
-            hot_l1, hot_l2 = hist.hot_sets(config, CostParams())
+            hot_l1, hot_l2 = hot_sets
         elif hot_kind == "empty":
             hot_l1 = hot_l2 = np.empty(0, dtype=np.int64)
         elif hot_kind == "all":
@@ -214,12 +233,10 @@ class TestTextureSinksDifferential:
             hot_l2 = np.flatnonzero(rng.random(n_lines) < 0.5)
             pool = hot_l2 if hot_kind == "nested" else np.arange(n_lines)
             hot_l1 = pool[rng.random(pool.size) < 0.5]
-        classifier = TextureClassifier(hot_l1, hot_l2, n_states, LINE_BYTES)
-        for tile in tiles:
-            classifier.on_tile(tile)
-        assert classifier.finish(config) == reference_traffic(
-            tiles, hot_l1.tolist(), hot_l2.tolist(), config
-        )
+        want = reference_traffic(tiles, hot_l1.tolist(), hot_l2.tolist(), config)
+        assert texture.classify(hot_l1, hot_l2, config) == want
+        if hot_kind == "histogram":
+            assert texture.finish(config, params) == want
 
 
 class TestHelpers:

@@ -1,6 +1,6 @@
 """Tile-size and STT-backend invariance of the modeled kernels.
 
-The tiled two-pass engine is an execution strategy, not a model change:
+The tiled engine is an execution strategy, not a model change:
 for any tile size and any gather backend (dense, compact, ...), every
 kernel must produce byte-identical matches AND byte-identical modeled
 counters (texture hits/misses, coalescing transactions, bank-conflict

@@ -8,7 +8,7 @@ import pytest
 from repro.core import PatternSet
 from repro.errors import ReproError
 from repro.matcher import Matcher
-from repro.obs import Metrics, Tracer
+from repro.obs import KernelProfiler, Metrics, Tracer
 from repro.resilience.faults import Fault, FaultInjector, FaultKind, FaultPlan
 from repro.serve import AutomatonCache, ScanScheduler, pattern_set_digest
 
@@ -167,6 +167,85 @@ class TestPipelineModel:
         sched = ScanScheduler(backend="serial")
         sched.scan_many(IDS, ["ushers"])
         assert sched.reports[0].timing is None
+
+
+class TestProfilerRetention:
+    """A scheduler's own profiler keeps only what the pipeline prices."""
+
+    RULES = PatternSet.from_strings(IDS)
+
+    def serve(self, sched, batches=50):
+        for i in range(batches):
+            sched.scan_many(self.RULES, [f"ushers {i}", "she sells"])
+
+    def test_private_profiler_keeps_one_report(self):
+        sched = ScanScheduler()
+        self.serve(sched)
+        assert len(sched.reports) == 50
+        assert len(sched.profiler.reports) <= 1
+
+    def test_callers_profiler_receives_every_batch(self):
+        profiler = KernelProfiler()
+        sched = ScanScheduler(profiler=profiler)
+        self.serve(sched)
+        assert sched.profiler is profiler
+        assert len(profiler.reports) == 50
+
+    def test_seeded_batch_timings_are_pinned(self):
+        """(bind, makespan, serial, kernel slices) of three seeded
+        batches, as computed before the profiler was bounded."""
+        rng = np.random.default_rng(2013)
+        sched = ScanScheduler(max_batch=4)
+        for _ in range(3):
+            texts = [
+                bytes(rng.choice(list(b"ushers his "), int(n)).tolist())
+                for n in rng.integers(50, 400, 4)
+            ]
+            sched.scan_many(self.RULES, texts)
+        got = [
+            (
+                r.timing.bind_seconds,
+                r.timing.makespan_seconds,
+                r.timing.serial_seconds,
+                tuple(r.timing.kernel_seconds),
+            )
+            for r in sched.reports
+        ]
+        assert got == [
+            (
+                1.869090909090909e-06,
+                8.058442227149544e-06,
+                8.159351318058635e-06,
+                (
+                    1.722979216095663e-06,
+                    1.1486528107304419e-06,
+                    2.1537240201195783e-06,
+                    1.1247225438402244e-06,
+                ),
+            ),
+            (
+                0.0,
+                6.192130437601974e-06,
+                6.3234031648747025e-06,
+                (
+                    1.4955849892090947e-06,
+                    8.573827739862482e-07,
+                    1.6631936517928726e-06,
+                    2.133787204431941e-06,
+                ),
+            ),
+            (
+                0.0,
+                6.1748314325956304e-06,
+                6.27883143259563e-06,
+                (
+                    1.2022344023064463e-06,
+                    1.5136044633354543e-06,
+                    9.254610147251063e-07,
+                    2.5082588249558956e-06,
+                ),
+            ),
+        ]
 
 
 class TestFailureIsolation:
