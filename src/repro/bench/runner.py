@@ -32,7 +32,7 @@ from repro.bench.cpu_model import (
 )
 from repro.compress.backend import DEFAULT_BACKEND, cost_of, resolve_backend
 from repro.core.dfa import DFA
-from repro.core.tiled import DEFAULT_TILE_LEN, scan_tiled
+from repro.core.tiled import DEFAULT_TILE_LEN, feed_sinks
 from repro.errors import ExperimentError
 from repro.gpu.config import DeviceConfig, gtx285
 from repro.gpu.counters import TimingBreakdown
@@ -567,7 +567,7 @@ class ExperimentRunner:
         from repro.kernels.base import TextureLineHistogram
 
         hist = TextureLineHistogram(dfa.n_states, self.cpu.line_bytes)
-        scan_tiled(dfa, cell.data, chunk_len=4096, sinks=[hist])
+        feed_sinks(dfa, cell.data, [hist], chunk_len=4096)
         uniq, counts = hist.nonzero()
         return serial_cost_from_histogram(
             uniq, counts, cell.paper_bytes, self.cpu

@@ -45,7 +45,7 @@ from repro.bench.cpu_model import (
 from repro.bench.runner import CellResult, ScaledKernel, counter_summary
 from repro.core.delta import DeltaBuilder, PatternDelta
 from repro.core.dfa import DFA
-from repro.core.tiled import scan_tiled
+from repro.core.tiled import feed_sinks
 from repro.errors import ExperimentError
 from repro.gpu.config import DeviceConfig, gtx285
 from repro.gpu.device import Device
@@ -349,7 +349,7 @@ class SwapBenchmark:
         from repro.kernels.base import TextureLineHistogram
 
         hist = TextureLineHistogram(dfa.n_states, self.cpu.line_bytes)
-        scan_tiled(dfa, batch, chunk_len=4096, sinks=[hist])
+        feed_sinks(dfa, batch, [hist], chunk_len=4096)
         uniq, counts = hist.nonzero()
         return serial_cost_from_histogram(
             uniq, counts, int(batch.nbytes), self.cpu

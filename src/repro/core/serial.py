@@ -34,7 +34,8 @@ from repro.core.dfa import DFA
 from repro.core.jit import jit_kernels
 from repro.core.match import MatchResult
 from repro.core.tiled import (
-    DEFAULT_CHUNK_LEN, DEFAULT_TILE_LEN, StateVisitHistogram, scan_tiled,
+    DEFAULT_CHUNK_LEN, DEFAULT_TILE_LEN, StateVisitHistogram, feed_sinks,
+    scan_tiled,
 )
 from repro.core.trie import ROOT
 
@@ -175,5 +176,5 @@ def serial_state_histogram(
     if data.size == 0:
         return np.zeros(dfa.n_states, dtype=np.int64)
     hist = StateVisitHistogram(dfa.n_states)
-    scan_tiled(dfa, data, chunk_len=chunk_len, sinks=[hist])
+    feed_sinks(dfa, data, [hist], chunk_len=chunk_len)
     return hist.hist

@@ -615,6 +615,37 @@ def scan_tiled(
     )
 
 
+def feed_sinks(
+    dfa: DFA,
+    data: np.ndarray,
+    sinks: Sequence,
+    *,
+    chunk_len: int = DEFAULT_CHUNK_LEN,
+) -> None:
+    """Walk *data* through the DFA only to feed *sinks* their tiles.
+
+    The tiles are the ones :func:`scan_tiled` with the same
+    ``chunk_len`` and *sinks* hands its sinks — same chunk plan, tile
+    length and table — so every sink total is identical, but no match
+    is extracted: no flag gather, output expansion, ownership filter
+    or canonicalization, which a caller that keeps only sink totals
+    (the CPU cost model's line histogram, the serial visit histogram)
+    would drop.
+    """
+    plan = plan_chunks(
+        data.size, chunk_len, required_overlap(dfa.patterns.max_length)
+    )
+    for tile in iter_dfa_tiles(
+        dfa,
+        data,
+        plan,
+        want_windows=any(getattr(s, "needs_windows", False) for s in sinks),
+        want_fetched=any(getattr(s, "needs_fetched", False) for s in sinks),
+    ):
+        for sink in sinks:
+            sink.on_tile(tile)
+
+
 class StateVisitHistogram:
     """Sink: per-state STT-row fetch counts (== trace.visit_histogram).
 

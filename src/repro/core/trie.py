@@ -2,9 +2,13 @@
 
 Phase 1 of the AC algorithm (paper Section II) first inserts every
 pattern into a trie rooted at state 0; the trie edges *are* the defined
-part of the goto function ``g``.  The failure function and the DFA are
-then derived from this structure by breadth-first traversal
-(:mod:`repro.core.automaton`, :mod:`repro.core.dfa`).
+part of the goto function ``g``.  The automaton's failure function and
+output sets are then derived from this structure by breadth-first
+traversal (:mod:`repro.core.automaton`), and
+:meth:`~repro.core.dfa.DFA.from_automaton` and the incremental builder
+(:mod:`repro.core.delta`) work from that automaton.
+:meth:`~repro.core.dfa.DFA.build` does not use this class: it makes
+the same states, numbered the same way, one depth at a time in NumPy.
 
 The trie is stored in flat parallel lists (children dicts, depth,
 parent, incoming symbol, terminal pattern ids) rather than node
@@ -27,8 +31,8 @@ ROOT: int = 0
 class Trie:
     """Byte-keyed keyword trie with per-node terminal pattern ids.
 
-    Build one with :meth:`from_patterns`; the AC automaton and DFA
-    builders consume the flat representation directly.
+    Build one with :meth:`from_patterns`; the AC automaton builder
+    consumes the flat representation directly.
 
     Attributes
     ----------

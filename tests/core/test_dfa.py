@@ -1,11 +1,31 @@
 """Unit tests for the DFA/STT construction (paper Figs. 2/3/5)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import DFA, AhoCorasickAutomaton, PatternSet
 from repro.core.alphabet import ALPHABET_SIZE, MATCH_COLUMN
 from repro.core.trie import ROOT
+from repro.workload.datasets import DatasetFactory
+from repro.workload.snort import generate_pattern_set
+
+#: SHA-256 of the 1k magazine DFA's STT, ``out_offsets`` and ``out_ids``
+#: (little-endian int32, int64, int64), as built through the automaton.
+#: Pins the state numbering itself, not just agreement of two builders.
+GOLDEN_1K_SHA256 = (
+    "cfdb9485d589e06ca42fd6ed2770c3d354c428597e219b6f544e4f453e967f42"
+)
+
+#: Small dictionaries with nested outputs and self-overlapping patterns.
+SMALL_DICTIONARIES = [
+    ["a"],
+    ["aa", "ab", "ba"],
+    ["abcde", "bcd", "cde", "e"],
+    ["x" * 10, "x" * 5, "x"],
+]
 
 
 def state_of(dfa: DFA, word: str) -> int:
@@ -80,16 +100,38 @@ class TestCsrOutputs:
         assert ends.size == 0 and pids.size == 0
 
 
+@pytest.fixture(scope="module")
+def magazine_1k() -> PatternSet:
+    return DatasetFactory(seed=2013).patterns_for(1000)
+
+
+@pytest.fixture(scope="module")
+def snort_2k() -> PatternSet:
+    return generate_pattern_set(2000, seed=2013)
+
+
+def assert_build_is_reference(ps: PatternSet) -> None:
+    """DFA.build's arrays equal the automaton path's, byte for byte."""
+    got = DFA.build(ps)
+    ref = DFA.from_automaton(AhoCorasickAutomaton.build(ps))
+    assert got.stt.table.dtype == ref.stt.table.dtype
+    assert got.stt.table.tobytes() == ref.stt.table.tobytes()
+    np.testing.assert_array_equal(got.out_offsets, ref.out_offsets)
+    np.testing.assert_array_equal(got.out_ids, ref.out_ids)
+
+
+def _byte_patterns(alphabet):
+    return st.lists(
+        st.binary(min_size=1, max_size=12).map(
+            lambda raw: bytes(alphabet[b % len(alphabet)] for b in raw)
+        ),
+        min_size=1,
+        max_size=60,
+    ).map(PatternSet.from_bytes)
+
+
 class TestExhaustiveEquivalence:
-    @pytest.mark.parametrize(
-        "patterns",
-        [
-            ["a"],
-            ["aa", "ab", "ba"],
-            ["abcde", "bcd", "cde", "e"],
-            ["x" * 10, "x" * 5, "x"],
-        ],
-    )
+    @pytest.mark.parametrize("patterns", SMALL_DICTIONARIES)
     def test_dfa_equals_automaton(self, patterns):
         ac = AhoCorasickAutomaton.build(PatternSet.from_strings(patterns))
         dfa = DFA.from_automaton(ac)
@@ -116,3 +158,36 @@ class TestExhaustiveEquivalence:
     def test_match_flag_column_is_binary(self, paper_dfa):
         col = paper_dfa.stt.table[:, MATCH_COLUMN]
         assert set(np.unique(col)).issubset({0, 1})
+
+    # -- DFA.build (depth by depth) against the automaton path ----------
+
+    @settings(max_examples=100, deadline=None)
+    @given(_byte_patterns(b"ab\0"))
+    @example(PatternSet.from_strings(SMALL_DICTIONARIES[0]))
+    @example(PatternSet.from_strings(SMALL_DICTIONARIES[1]))
+    @example(PatternSet.from_strings(SMALL_DICTIONARIES[2]))
+    @example(PatternSet.from_strings(SMALL_DICTIONARIES[3]))
+    @example(PatternSet.from_bytes([bytes([b]) for b in range(256)]))
+    @example(PatternSet.from_bytes([b"ab", b"b\0a", b"ab" * 150, b"bab", b"a"]))
+    def test_build_equals_automaton_path_deep_chains(self, ps):
+        # Over {a, b, NUL}: long failure chains, nested outputs, NUL.
+        assert_build_is_reference(ps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_byte_patterns(bytes(range(256))))
+    def test_build_equals_automaton_path_any_byte(self, ps):
+        assert_build_is_reference(ps)
+
+    @pytest.mark.parametrize(
+        "fixture", ["paper_patterns", "magazine_1k", "snort_2k"]
+    )
+    def test_build_equals_automaton_path_fixed(self, fixture, request):
+        assert_build_is_reference(request.getfixturevalue(fixture))
+
+    def test_build_golden_digest_magazine_1k(self, magazine_1k):
+        dfa = DFA.build(magazine_1k)
+        h = hashlib.sha256()
+        h.update(dfa.stt.table.astype("<i4").tobytes())
+        h.update(dfa.out_offsets.astype("<i8").tobytes())
+        h.update(dfa.out_ids.astype("<i8").tobytes())
+        assert h.hexdigest() == GOLDEN_1K_SHA256
