@@ -560,7 +560,7 @@ class ExperimentRunner:
 
     def _fresh_device(self, dfa: DFA) -> Device:
         dev = Device(self.device_config)
-        dev.bind_texture(dfa.stt)
+        dev.bind_texture(dfa, self.stt_backend)
         return dev
 
     def _serial(self, dfa: DFA, cell: Workload) -> SerialCost:

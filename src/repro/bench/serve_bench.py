@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.bench.runner import CellResult, ScaledKernel, counter_summary
+from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.dfa import DFA
 from repro.errors import ExperimentError
 from repro.gpu.config import DeviceConfig, gtx285
@@ -141,7 +142,7 @@ class ServeBenchmark:
         total = 0.0
         for text in texts:
             device = Device(self.device_config)
-            device.bind_texture(self.dfa.stt)
+            device.bind_texture(self.dfa, DEFAULT_BACKEND)
             kr = run_shared_kernel(self.dfa, text, device)
             total += (
                 device.copy_h2d_seconds(stt_bytes)
@@ -174,13 +175,13 @@ class ServeBenchmark:
 
         # The reference: each text scanned alone on a fresh device.
         oracle_device = Device(self.device_config)
-        oracle_device.bind_texture(self.dfa.stt)
+        oracle_device.bind_texture(self.dfa, DEFAULT_BACKEND)
         batch_kr = run_shared_kernel(
             self.dfa, np.concatenate(texts), oracle_device
         )
         for text, got in zip(texts, sched_results):
             ref_dev = Device(self.device_config)
-            ref_dev.bind_texture(self.dfa.stt)
+            ref_dev.bind_texture(self.dfa, DEFAULT_BACKEND)
             ref = run_shared_kernel(self.dfa, text, ref_dev).matches
             if got != ref:
                 raise ExperimentError(

@@ -50,6 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.bench.runner import CellResult, ScaledKernel, counter_summary
+from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.dfa import DFA
 from repro.errors import ExperimentError
 from repro.gpu.config import DeviceConfig, gtx285
@@ -444,7 +445,7 @@ class SloBenchmark:
         for spec, row in zip(self.tenants, report.rows):
             dfa = DFA.build(patterns[spec.name])
             device = Device(self.device_config)
-            device.bind_texture(dfa.stt)
+            device.bind_texture(dfa, DEFAULT_BACKEND)
             kr = run_shared_kernel(
                 dfa,
                 np.concatenate(payloads[(spec.name, 0)]),

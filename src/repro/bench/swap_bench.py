@@ -43,6 +43,7 @@ from repro.bench.cpu_model import (
     serial_cost_from_histogram,
 )
 from repro.bench.runner import CellResult, ScaledKernel, counter_summary
+from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.delta import DeltaBuilder, PatternDelta
 from repro.core.dfa import DFA
 from repro.core.tiled import feed_sinks
@@ -306,7 +307,7 @@ class SwapBenchmark:
         dfa = DFA.build(patterns)
         batch = np.concatenate(texts)
         oracle_device = Device(self.device_config)
-        oracle_device.bind_texture(dfa.stt)
+        oracle_device.bind_texture(dfa, DEFAULT_BACKEND)
         batch_kr = run_shared_kernel(dfa, batch, oracle_device)
 
         cell = SwapDipCell(

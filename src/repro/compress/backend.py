@@ -18,8 +18,9 @@ backend    representation                              per-fetch cost
 ``dense`` and ``compact`` run the fused column-major step inside
 :class:`~repro.core.tiled.GatherKernel`; ``banded`` and ``bitmap`` are
 wrapped in *gather adapters* exposing the
-``alloc(n)`` / ``step_into(state, symbols, out_row)`` protocol, which
-the kernel dispatches to by duck typing.  Every backend is
+``alloc(n)`` / ``step_into(state, symbols, out_row)`` protocol plus the
+per-state ``match_flags`` their match test reads, which the kernel
+dispatches to by duck typing.  Every backend is
 byte-identical to the dense table for the automaton's transitions —
 the differential harness (`tests/compress/test_backend_differential.py`)
 proves it for match spans, counters, and per-tile state trajectories —
@@ -27,11 +28,17 @@ so backends differ **only** in modeled cost: texture working-set size
 (footprint), extra ALU per fetch, and (bitmap only) the data-dependent
 failure-chain walk, all reported via :class:`BackendCost` snapshots
 that the kernel pricing layer consumes.
+
+A gpu launch does not gather through the DFA's memoized tables: its
+device binds fresh copies of every array the backend's scan reads
+(:func:`device_gather_table`), each named by a :class:`GatherArray`,
+and block-checksums them (:meth:`repro.gpu.device.Device.bind_texture`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -87,11 +94,28 @@ class BackendCost:
         return self.chain_steps / self.lookups
 
 
+@dataclass(frozen=True)
+class GatherArray:
+    """One array a scan gathers through, and what its index counts.
+
+    ``index`` names the axis a damage report maps an element range
+    onto: ``"state"`` (the leading axis is the DFA state), ``"byte"``
+    (the input byte), ``"class"`` (fused column-major: flat index =
+    class × n_states + state) or ``"entry"`` (packed entries, owned by
+    states through the same binding's ``offsets`` array).
+    """
+
+    name: str
+    data: np.ndarray
+    index: str
+
+
 class BandedGather:
     """Gather adapter over a :class:`~repro.compress.banded.BandedSTT`.
 
     Branch-free: the band test is two ALU ops per fetch and never
-    touches a second row, so only ``lookups`` is accumulated.
+    touches a second row, so only ``lookups`` is accumulated.  The
+    match test reads the table's own int8 ``match_flags``.
     """
 
     backend = "banded"
@@ -101,6 +125,34 @@ class BandedGather:
     def __init__(self, table) -> None:
         self.table = table
         self.lookups = 0
+
+    @property
+    def match_flags(self) -> np.ndarray:
+        """Per-state match flags the scan's match test reads."""
+        return self.table.match_flags
+
+    def arrays(self) -> List[GatherArray]:
+        """Every array a step and its match test read."""
+        t = self.table
+        return [
+            GatherArray("default", t.default, "state"),
+            GatherArray("lo", t.lo, "state"),
+            GatherArray("width", t.width, "state"),
+            GatherArray("offsets", t.offsets, "state"),
+            GatherArray("values", t.values, "entry"),
+            GatherArray("match_flags", t.match_flags, "state"),
+        ]
+
+    def copy(self) -> "BandedGather":
+        """A fresh adapter (counters at zero) over copies of the arrays."""
+        from repro.compress.banded import BandedSTT
+
+        return BandedGather(
+            BandedSTT(
+                *(a.data.copy() for a in self.arrays()),
+                dense_bytes=self.table.stats().dense_bytes,
+            )
+        )
 
     def alloc(self, n_threads: int) -> None:
         """Protocol hook; the banded lookup allocates per call."""
@@ -131,17 +183,45 @@ class BitmapGather:
     The lockstep walk is data-dependent: ``chain_steps`` counts every
     fail-link taken across all lanes, so ``cost().avg_chain_steps`` is
     the *exact* mean walk length of the measured scan — the quantity
-    the bitmap backend's dependent-latency pricing multiplies in.
+    the bitmap backend's dependent-latency pricing multiplies in.  The
+    delta table keeps no match flags, so the adapter carries the
+    per-state bool ``match_flags`` its match test reads.
     """
 
     backend = "bitmap"
 
-    __slots__ = ("table", "lookups", "chain_steps")
+    __slots__ = ("table", "match_flags", "lookups", "chain_steps")
 
-    def __init__(self, table) -> None:
+    def __init__(self, table, match_flags: np.ndarray) -> None:
         self.table = table
+        self.match_flags = match_flags
         self.lookups = 0
         self.chain_steps = 0
+
+    def arrays(self) -> List[GatherArray]:
+        """Every array a step (walk bound included) and its match test read."""
+        t = self.table
+        return [
+            GatherArray("bitmaps", t.bitmaps, "state"),
+            GatherArray("offsets", t.offsets, "state"),
+            GatherArray("packed", t.packed, "entry"),
+            GatherArray("fail", t.fail, "state"),
+            GatherArray("root_row", t.root_row, "byte"),
+            GatherArray("depth", t.depth, "state"),
+            GatherArray("match_flags", self.match_flags, "state"),
+        ]
+
+    def copy(self) -> "BitmapGather":
+        """A fresh adapter (counters at zero) over copies of the arrays."""
+        from repro.compress.bitmap import BitmapDeltaSTT
+
+        *table, flags = (a.data.copy() for a in self.arrays())
+        return BitmapGather(
+            BitmapDeltaSTT(
+                *table, dense_bytes=self.table.stats().dense_bytes
+            ),
+            flags,
+        )
 
     def alloc(self, n_threads: int) -> None:
         """Protocol hook; the walk allocates per call."""
@@ -194,7 +274,43 @@ def build_gather_table(dfa, name: str):
     from repro.core.automaton import AhoCorasickAutomaton
 
     ac = AhoCorasickAutomaton.build(dfa.patterns)
-    return BitmapGather(BitmapDeltaSTT.from_automaton(ac, dfa=dfa))
+    return BitmapGather(
+        BitmapDeltaSTT.from_automaton(ac, dfa=dfa),
+        np.asarray(dfa.stt.match_flags) != 0,
+    )
+
+
+def device_gather_table(dfa, name: str, dtype) -> Tuple[object, List[GatherArray]]:
+    """Fresh copies of every array a scan under backend *name* reads.
+
+    Returns ``(table, arrays)``: *table* is what
+    :class:`~repro.core.tiled.GatherKernel` gathers through and
+    *arrays* names each array it reads.  ``dense`` and ``compact`` get
+    :func:`~repro.core.compact.fuse_columns` of the dense STT or of the
+    DFA's compacted table, in *dtype* — the builder behind the DFA's
+    fused memos, run once more without filling them — and ``banded``
+    and ``bitmap`` a fresh adapter over copies of the DFA's memoized
+    adapter's arrays.  Either way one copy, owned by the caller (a
+    device binding).
+    """
+    from repro.core.compact import fuse_columns
+
+    name = resolve_backend(name)
+    if name in ("banded", "bitmap"):
+        adapter = dfa.gather_table(name).copy()
+        return adapter, adapter.arrays()
+    flags = dfa.stt.match_flags
+    if name == "dense":
+        fused = fuse_columns(dfa.stt.next_states, flags, dtype)
+    else:
+        compact = dfa.gather_table(name)
+        fused = fuse_columns(compact.table, flags, dtype, compact.class_of)
+    return fused, [
+        GatherArray(label, data, index)
+        for label, data, index in zip(
+            ("col_flat", "cls_lut", "flag_flat"), fused, ("class", "byte", "class")
+        )
+    ]
 
 
 def cost_of(dfa, table, name: str) -> BackendCost:

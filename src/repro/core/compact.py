@@ -31,6 +31,7 @@ set, which is what makes the tiled scan's δ-gather cache-resident.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -99,6 +100,43 @@ def compact_columns(
     return np.ascontiguousarray(table)
 
 
+def fuse_columns(
+    table: np.ndarray,
+    match_flags: np.ndarray,
+    dtype,
+    byte_class: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(col_flat, cls_lut, flag_flat)`` over an ``(n_states, k)`` table.
+
+    The fused column-major gather tables
+    :meth:`repro.core.tiled.GatherKernel.step_fused` reads:
+
+    * ``col_flat[c * n_states + s] == table[s, c]``, in *dtype* — the
+      table transposed and flattened, so a whole class column is
+      contiguous;
+    * ``cls_lut[b] == byte_class[b] * n_states`` (int64; *byte_class*
+      defaults to the identity, the dense table's columns) — the
+      byte→column base offset, pre-scaled so the per-step index is a
+      single add (``cls_lut[byte] + state``) with no multiply;
+    * ``flag_flat[i]`` — the match flag of the state ``col_flat[i]``
+      names, index-aligned so the step's match test rides the same
+      fused index.
+
+    The one builder of these arrays: the DFA's and the
+    :class:`CompactSTT`'s memos freeze and keep what it returns, and a
+    device binding owns a fresh, writable set
+    (:func:`repro.compress.backend.device_gather_table`).
+    """
+    n_states = table.shape[0]
+    if byte_class is None:
+        byte_class = np.arange(ALPHABET_SIZE, dtype=np.int64)
+    col_flat = np.ascontiguousarray(table.T, dtype=dtype).reshape(-1)
+    cls_lut = byte_class * np.int64(n_states)
+    flags = np.asarray(match_flags) != 0
+    flag_flat = np.ascontiguousarray(flags[table.T]).reshape(-1)
+    return col_flat, cls_lut, flag_flat
+
+
 class CompactSTT:
     """Alphabet-compacted view of a DFA's transition function.
 
@@ -126,26 +164,20 @@ class CompactSTT:
     def fused_tables(self, match_flags: np.ndarray, dtype):
         """Column-major fused gather tables for the compacted STT, cached.
 
-        Same contract as :meth:`repro.core.dfa.DFA.dense_fused_tables`,
-        with the byte→offset LUT composed through the class map:
+        :func:`fuse_columns` of the compacted table, with the
+        byte→offset LUT composed through the class map:
         ``cls_lut[b] == class_of[b] * n_states``, so
-        ``col_flat[cls_lut[b] + s] == table[s, class_of[b]] == δ(s, b)``
-        and ``flag_flat`` carries the target state's match flag at the
-        same fused index.  Cached per dtype (tests monkeypatch the
-        uint16 cutoff).
+        ``col_flat[cls_lut[b] + s] == table[s, class_of[b]] == δ(s, b)``.
+        Cached per dtype (tests monkeypatch the uint16 cutoff); the
+        CPU scans gather through this memo, a gpu launch through its
+        device's own copy.
         """
         key = np.dtype(dtype).str
         cached = self._fused.get(key)
         if cached is None:
-            col = np.ascontiguousarray(self.table.T, dtype=dtype)
-            col_flat = col.reshape(-1)
-            col_flat.setflags(write=False)
-            cls_lut = self.class_map.class_of * np.int64(self.n_states)
-            cls_lut.setflags(write=False)
-            flags = np.asarray(match_flags) != 0
-            flag_flat = np.ascontiguousarray(flags[self.table.T]).reshape(-1)
-            flag_flat.setflags(write=False)
-            cached = (col_flat, cls_lut, flag_flat)
+            cached = fuse_columns(self.table, match_flags, dtype, self.class_of)
+            for arr in cached:
+                arr.setflags(write=False)
             self._fused[key] = cached
         return cached
 

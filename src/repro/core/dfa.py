@@ -32,6 +32,7 @@ from repro.core.alphabet import (
     STT_COLUMNS,
 )
 from repro.core.automaton import AhoCorasickAutomaton
+from repro.core.compact import fuse_columns
 from repro.core.pattern_set import PatternSet
 from repro.core.stt import STT
 from repro.core.trie import ROOT
@@ -294,35 +295,22 @@ class DFA:
     def dense_fused_tables(self, dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Column-major fused gather tables for the dense STT, cached.
 
-        Returns ``(col_flat, cls_lut, flag_flat)`` where
-
-        * ``col_flat[c * n_states + s] == δ(s, c)`` — the transition
-          block transposed and flattened in *dtype*, so a whole symbol
-          class is contiguous;
-        * ``cls_lut[b] == b * n_states`` (int64) — the byte→column
-          base-offset LUT, pre-scaled so the per-step index is a single
-          add (``cls_lut[byte] + state``) with no multiply;
-        * ``flag_flat[i] == (δ-target at i is a match state)`` — the
-          match flag of ``col_flat[i]``, index-aligned with it so the
-          step's match test rides the same fused index.
-
-        Cached per dtype because tests monkeypatch the uint16 cutoff.
+        :func:`~repro.core.compact.fuse_columns` of the transition
+        block: ``col_flat[c * n_states + s] == δ(s, c)`` in *dtype*,
+        ``cls_lut[b] == b * n_states`` (int64) and ``flag_flat[i]`` the
+        match flag of ``col_flat[i]``'s target.  Cached per dtype
+        because tests monkeypatch the uint16 cutoff; the CPU scans
+        gather through this memo, a gpu launch through its device's own
+        copy.
         """
         key = np.dtype(dtype).str
         cached = self._fused_dense.get(key)
         if cached is None:
-            nxt = self.stt.next_states  # (n_states, 256) read-only view
-            col = np.ascontiguousarray(nxt.T, dtype=dtype)
-            col_flat = col.reshape(-1)
-            col_flat.setflags(write=False)
-            cls_lut = np.arange(ALPHABET_SIZE, dtype=np.int64) * np.int64(
-                self.n_states
+            cached = fuse_columns(
+                self.stt.next_states, self.stt.match_flags, dtype
             )
-            cls_lut.setflags(write=False)
-            flags = np.asarray(self.stt.match_flags) != 0
-            flag_flat = np.ascontiguousarray(flags[nxt.T]).reshape(-1)
-            flag_flat.setflags(write=False)
-            cached = (col_flat, cls_lut, flag_flat)
+            for arr in cached:
+                arr.setflags(write=False)
             self._fused_dense[key] = cached
         return cached
 

@@ -4,15 +4,23 @@ The paper's deployment scenario compiles dictionaries offline and ships
 the STT to NIDS sensors, where it sits resident in device memory for
 days.  A single flipped transition entry silently reroutes the DFA —
 matches are dropped or invented with no error — so both the on-disk
-format (:mod:`repro.core.serialization`, ``REPRODFA`` v2) and the
-simulated device (:meth:`repro.gpu.device.Device.bind_texture`) carry
-**per-row CRC32 checksums** of the transition table and re-verify them
-before the table is allowed to drive a scan.
+format (:mod:`repro.core.serialization`, ``REPRODFA`` v2), the
+serving cache (:meth:`repro.serve.cache.CacheEntry.verify`) and the
+epoch swap (:class:`repro.serve.epoch.EpochManager`) carry **per-row
+CRC32 checksums** of the dense transition table and re-verify them
+before the table is allowed to feed a scan.
 
 Per-row (rather than whole-table) checksums cost the same 4 bytes/KB
 but localize the damage: an :class:`~repro.errors.IntegrityError`
 names the corrupted state rows, which is what an operator needs to
 distinguish "re-push the artifact" from "this sensor's memory is bad".
+
+The simulated device guards the bytes a kernel actually reads — the
+gather arrays of the launch's STT backend, not the dense table — with
+:func:`block_checksums`: one CRC32 per 64 KiB block, recorded by
+:meth:`repro.gpu.device.Device.bind_texture` and re-checked by
+:meth:`~repro.gpu.device.Device.verify_texture` before every launch.
+Those live only in memory, so they are not a persisted format.
 
 CRC32 is an integrity check against *accidental* corruption (bit rot,
 truncated copies, DMA errors), not an authenticity check: an attacker
@@ -30,14 +38,20 @@ import numpy as np
 from repro.core.stt import STT
 
 __all__ = [
+    "BLOCK_BYTES",
+    "block_checksums",
     "crc32_bytes",
     "stt_row_checksums",
+    "verify_block_checksums",
     "verify_row_checksums",
     "CHECKSUM_DTYPE",
 ]
 
 #: On-disk / in-header dtype of a checksum vector (one CRC32 per row).
 CHECKSUM_DTYPE = np.dtype("<u4")
+
+#: Bytes covered by each CRC32 of :func:`block_checksums`.
+BLOCK_BYTES = 64 * 1024
 
 
 def crc32_bytes(data: Union[bytes, bytearray, memoryview, np.ndarray]) -> int:
@@ -75,3 +89,28 @@ def verify_row_checksums(
     if actual.shape != expected.shape:
         return [-1]
     return np.flatnonzero(actual != expected).tolist()
+
+
+def block_checksums(arr: np.ndarray) -> np.ndarray:
+    """One CRC32 per :data:`BLOCK_BYTES` block of *arr*'s bytes.
+
+    The last block may be short; an empty array has no blocks.  The
+    bytes are read in place and in native order: a device re-checks
+    the same array on the same host, so unlike
+    :func:`stt_row_checksums` nothing here is a persisted format.
+    """
+    buf = memoryview(np.ascontiguousarray(arr).reshape(-1).view(np.uint8))
+    return np.fromiter(
+        (
+            zlib.crc32(buf[i : i + BLOCK_BYTES])
+            for i in range(0, len(buf), BLOCK_BYTES)
+        ),
+        dtype=CHECKSUM_DTYPE,
+        count=-(-len(buf) // BLOCK_BYTES),
+    )
+
+
+def verify_block_checksums(arr: np.ndarray, expected: np.ndarray) -> List[int]:
+    """Block indices of *arr* whose CRC32 disagrees with *expected*
+    (an empty list means intact)."""
+    return np.flatnonzero(block_checksums(arr) != expected).tolist()

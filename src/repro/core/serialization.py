@@ -135,9 +135,13 @@ def validate_dfa(dfa: DFA) -> List[str]:
 class LoadedDFA:
     """A deserialized artifact plus the metadata its header carried.
 
-    ``row_checksums`` is the per-row CRC32 vector (recomputed for v1
-    artifacts, verified for v2), ready to hand to
-    :meth:`repro.gpu.device.Device.bind_texture`.
+    ``row_checksums`` is the per-row CRC32 vector: verified against the
+    table at load for v2 artifacts, recomputed for v1.  The same row
+    CRCs are re-checked on every serving-cache hit
+    (:meth:`repro.serve.cache.CacheEntry.verify`) and at every epoch
+    swap (``EpochManager._verify``).  A device bind does not take them:
+    :meth:`repro.gpu.device.Device.bind_texture` block-checksums its own
+    copy of the gather arrays.
     """
 
     dfa: DFA

@@ -131,11 +131,14 @@ class GatherKernel:
     transposed so the per-step flat index is ``cls_lut[byte] + state``
     — one LUT take and one add, no multiply — and the target state's
     match flag sits in an index-aligned bool table, so the match test
-    costs one extra take on the *same* index.  ``dfa`` supplies the
-    dense tables (:meth:`repro.core.dfa.DFA.dense_fused_tables`) when
-    ``table`` is None, a :class:`~repro.core.compact.CompactSTT` its
-    own (:meth:`~repro.core.compact.CompactSTT.fused_tables`).  Both
-    are staged in :func:`tile_state_dtype`, so machines under
+    costs one extra take on the *same* index.  ``table`` is None for
+    the DFA's dense memo
+    (:meth:`repro.core.dfa.DFA.dense_fused_tables`), a
+    :class:`~repro.core.compact.CompactSTT` for its memo
+    (:meth:`~repro.core.compact.CompactSTT.fused_tables`), or a
+    ``(col_flat, cls_lut, flag_flat)`` triple the caller owns — a gpu
+    launch passes its device's bound copy.  All are staged in
+    :func:`tile_state_dtype`, so machines under
     :data:`U16_STATE_LIMIT` states gather uint16 values.
 
     Under ``REPRO_JIT=1`` (and with numba importable) the fused step
@@ -144,10 +147,11 @@ class GatherKernel:
     — falling back to the NumPy path automatically otherwise.
 
     ``table`` may also be a gather *adapter* (an object exposing
-    ``alloc(n)`` / ``step_into(state, symbols, out_row)`` — see
-    :mod:`repro.compress.backend`); :meth:`step` then delegates to it,
-    which is how the banded and bitmap compressed backends plug in
-    without this module importing them.
+    ``alloc(n)`` / ``step_into(state, symbols, out_row)`` and the
+    per-state ``match_flags`` — see :mod:`repro.compress.backend`);
+    :meth:`step` then delegates to it, which is how the banded and
+    bitmap compressed backends plug in without this module importing
+    them.
     """
 
     __slots__ = (
@@ -164,10 +168,10 @@ class GatherKernel:
         self.col_flat = self.cls_lut = self.flag_flat = None
         if self.adapter is None:
             if table is None:
-                fused = dfa.dense_fused_tables(self.row_dtype)
-            else:
-                fused = table.fused_tables(dfa.stt.match_flags, self.row_dtype)
-            self.col_flat, self.cls_lut, self.flag_flat = fused
+                table = dfa.dense_fused_tables(self.row_dtype)
+            elif hasattr(table, "fused_tables"):
+                table = table.fused_tables(dfa.stt.match_flags, self.row_dtype)
+            self.col_flat, self.cls_lut, self.flag_flat = table
 
     def alloc(self, n_threads: int) -> None:
         """Size the per-step scratch buffers for *n_threads* lanes."""
@@ -294,6 +298,7 @@ def iter_dfa_tiles(
     *,
     tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
+    gather_table=None,
     init_states: Optional[np.ndarray] = None,
     want_windows: bool = False,
     want_fetched: bool = False,
@@ -308,9 +313,13 @@ def iter_dfa_tiles(
     (**zero** position arithmetic); irregular plans fall back to one
     clipped 2-D take per tile — so nothing proportional to the input
     is ever copied.  ``stt_backend`` names the table the δ-gather
-    reads (see :mod:`repro.compress.backend`; resolved through the
-    DFA's memoized :meth:`~repro.core.dfa.DFA.gather_table`, so every
-    backend gathers the same transition function).
+    reads (see :mod:`repro.compress.backend`; every backend gathers
+    the same transition function).  ``gather_table`` supplies its
+    bytes: by default the DFA's memoized
+    :meth:`~repro.core.dfa.DFA.gather_table`, for a gpu launch the
+    device's bound copy
+    (:meth:`~repro.gpu.device.Device.gather_table`), which the caller
+    must have bound for ``stt_backend``.
     ``init_states`` seeds the per-thread carry-in
     state (default: all ROOT) — :func:`scan_tiled` uses it to thread
     a stream's inter-feed state through lane 0.  ``want_hits``
@@ -338,7 +347,9 @@ def iter_dfa_tiles(
     uniform = nt < 2 or bool(np.all(diffs == diffs[0]))
     stride = int(diffs[0]) if nt > 1 else 0
 
-    gather = GatherKernel(dfa, dfa.gather_table(stt_backend))
+    if gather_table is None:
+        gather_table = dfa.gather_table(stt_backend)
+    gather = GatherKernel(dfa, gather_table)
     gather.alloc(nt)
     use_fused = gather.adapter is None
     state = np.zeros(nt, dtype=np.int64)
@@ -349,11 +360,9 @@ def iter_dfa_tiles(
             )
         state[:] = init_states
 
-    flag_lut = None
-    if want_hits and not use_fused:
-        # Adapter backends step through step_into, so their match test
-        # is a fused 2-D take over a state-indexed flag LUT per tile.
-        flag_lut = np.asarray(dfa.stt.match_flags) != 0
+    # Adapter backends step through step_into, so their match test is
+    # a fused 2-D take over the adapter's state-indexed flags per tile.
+    flag_lut = None if use_fused else gather.adapter.match_flags
 
     tile_len = min(tile_len, wl)
     row_dtype = gather.row_dtype
@@ -498,6 +507,7 @@ def scan_tiled(
     overlap: Optional[int] = None,
     tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
+    gather_table=None,
     sinks: Sequence = (),
     init_state: int = ROOT,
 ) -> TiledScanResult:
@@ -520,6 +530,8 @@ def scan_tiled(
     :mod:`repro.compress.backend`) names the table the δ-gather reads;
     the default ``compact`` table is exactly equivalent to the dense
     STT and markedly faster once the dense STT outgrows cache.
+    ``gather_table`` supplies that table's bytes (default: the DFA's
+    memo; see :func:`iter_dfa_tiles`).
     """
     if plan is None:
         if overlap is None:
@@ -561,6 +573,7 @@ def scan_tiled(
         plan,
         tile_len=tile_len,
         stt_backend=stt_backend,
+        gather_table=gather_table,
         init_states=init_states,
         want_windows=want_windows,
         want_fetched=want_fetched,

@@ -23,26 +23,37 @@ device then behaves exactly as the real failure would — raising
 :class:`~repro.errors.KernelTimeoutError`, or corrupting the
 device-resident copy of a buffer.  Corruption is *detectable* because
 the device checksums what it receives: the modeled host→device copy
-verifies a CRC32 over the staged bytes, and the texture binding keeps
-per-row CRC32s of the STT (:mod:`repro.core.integrity`) that
-:meth:`verify_texture` re-checks before a kernel is allowed to trust
-the table.  Without an injector every hook is a no-op.
+verifies a CRC32 over the staged bytes, and the texture binding is a
+device-owned copy of exactly the gather arrays the launch's STT
+backend reads, with one CRC32 per 64 KiB block
+(:func:`repro.core.integrity.block_checksums`) that
+:meth:`verify_texture` re-checks before every launch.  The AC kernels
+gather through that copy, so a flipped bit is either caught or read.
+PFAC builds and reads its own per-launch trie table, which no device
+check covers.  Without an injector every hook is a no-op.
 """
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.integrity import (
-    crc32_bytes,
-    stt_row_checksums,
-    verify_row_checksums,
+from repro.compress.backend import (
+    GatherArray,
+    device_gather_table,
+    resolve_backend,
 )
-from repro.core.stt import STT
+from repro.core.integrity import (
+    BLOCK_BYTES,
+    block_checksums,
+    crc32_bytes,
+    verify_block_checksums,
+)
+from repro.core.tiled import tile_state_dtype
 from repro.errors import (
     DeviceError,
     IntegrityError,
@@ -57,15 +68,54 @@ from repro.gpu.latency import KernelCost, estimate_time, h2d_copy_seconds
 
 @dataclass(frozen=True)
 class TextureBinding:
-    """An STT resident in texture memory."""
+    """An automaton resident in texture memory.
+
+    ``bytes_total`` is the modeled footprint: the dense STT's bytes,
+    the table the paper uploads, whichever ``stt_backend``'s gather
+    arrays the device holds (so no modeled number depends on it).
+    """
 
     n_states: int
     bytes_total: int
+    stt_backend: str
 
     @property
     def megabytes(self) -> float:
         """Texture footprint in MiB."""
         return self.bytes_total / 2**20
+
+
+@dataclass(frozen=True)
+class _Resident:
+    """A binding's device-owned gather arrays and their block CRCs."""
+
+    dfa: Any  # weakref.ref to the bound DFA
+    n_states: int
+    table: Any  # what GatherKernel reads: fused triple or adapter
+    arrays: Tuple[GatherArray, ...]
+    crcs: Tuple[np.ndarray, ...]
+
+    def describe(self, array: GatherArray, block: int) -> str:
+        """``name block k (range)`` for one bad block of *array*."""
+        data = array.data
+        per = BLOCK_BYTES // data.itemsize
+        lo = block * per
+        hi = min(lo + per, data.size) - 1  # last element, inclusive
+        if array.index == "class":
+            n = self.n_states
+            (c0, s0), (c1, s1) = divmod(lo, n), divmod(hi, n)
+            span = f"class {c0} state {s0} to class {c1} state {s1}"
+        elif array.index == "byte":
+            span = f"bytes {lo}-{hi}"
+        else:
+            if array.index == "entry":
+                (offsets,) = (a.data for a in self.arrays if a.name == "offsets")
+                s0, s1 = np.searchsorted(offsets, [lo, hi], side="right") - 1
+            else:
+                row = data.size // max(data.shape[0], 1)
+                s0, s1 = lo // row, hi // row
+            span = f"states {s0}-{s1}"
+        return f"{array.name} block {block} ({span})"
 
 
 @dataclass(frozen=True)
@@ -217,8 +267,7 @@ class Device:
         self.injector = injector
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self._texture: Optional[TextureBinding] = None
-        self._texture_table: Optional[np.ndarray] = None
-        self._texture_crcs: Optional[np.ndarray] = None
+        self._resident: Optional[_Resident] = None
         self._allocated_bytes = 0
         self._streams: Dict[str, Stream] = {}
         #: Lifetime count of texture binds (the serving scheduler and
@@ -320,8 +369,7 @@ class Device:
         """Release all allocations (simulation-level bookkeeping)."""
         self._allocated_bytes = 0
         self._texture = None
-        self._texture_table = None
-        self._texture_crcs = None
+        self._resident = None
 
     def copy_h2d_seconds(self, nbytes: int) -> float:
         """Host→device copy time over PCIe (reported, never benchmarked:
@@ -362,52 +410,55 @@ class Device:
         self.alloc(data.nbytes)
         return staged
 
-    def bind_texture(
-        self, stt: STT, row_checksums: Optional[np.ndarray] = None
-    ) -> TextureBinding:
-        """Place the STT in texture memory (paper Section IV-B-2).
+    def bind_texture(self, dfa, stt_backend: str) -> TextureBinding:
+        """Place *dfa*'s gather tables in texture memory (paper §IV-B-2).
 
-        The device keeps its own copy of the table (as real texture
-        memory does) plus the expected per-row CRC32s — either the
-        vector carried by a v2 artifact (*row_checksums*) or one
-        computed from the table being bound.  The checksums are
-        verified immediately (a corrupt artifact must not reach the
-        texture path) and again by :meth:`verify_texture` before each
-        run, so bit flips that land *after* binding are also caught.
+        The device keeps its own copy of exactly the arrays a scan under
+        *stt_backend* reads — the fused ``col_flat``, ``cls_lut`` and
+        ``flag_flat`` for ``dense`` and ``compact``, the adapter's
+        arrays for ``banded`` and ``bitmap``, built by
+        :func:`~repro.compress.backend.device_gather_table` — and one
+        CRC32 per 64 KiB block of each.  :meth:`verify_texture` re-checks every block
+        before each launch and the AC kernels gather through this copy
+        (:meth:`gather_table`), so a bit flip that lands after binding
+        is caught before the scan reads it.  The dense STT's row CRCs
+        are checked where the table enters the system — the REPRODFA
+        load, the serving cache hit, the epoch swap — not here.
 
-        Rebinding replaces (and frees) any previous binding.
+        The modeled allocation is the dense STT's bytes
+        (:class:`TextureBinding`).  Rebinding replaces (and frees) any
+        previous binding.
         """
+        backend = resolve_backend(stt_backend)
         if self._texture is not None:
             self.unbind_texture()
-        if row_checksums is None:
-            row_checksums = stt_row_checksums(stt)
-        else:
-            row_checksums = np.asarray(row_checksums)
-            bad = verify_row_checksums(stt.table, row_checksums)
-            if bad:
-                raise IntegrityError(
-                    "STT rejected at texture bind: rows failed their "
-                    f"CRC32 check: {bad[:8]}"
-                    + ("..." if len(bad) > 8 else "")
-                )
-        stats = stt.stats()
+        stats = dfa.stt.stats()
         self.alloc(stats.bytes_total)
-        table = np.array(stt.table, copy=True)  # device-resident copy
+        table, arrays = device_gather_table(dfa, backend, tile_state_dtype(dfa))
         binding = TextureBinding(
-            n_states=stats.n_states, bytes_total=stats.bytes_total
+            n_states=stats.n_states,
+            bytes_total=stats.bytes_total,
+            stt_backend=backend,
         )
         self._texture = binding
-        self._texture_table = table
-        self._texture_crcs = row_checksums
+        self._resident = _Resident(
+            dfa=weakref.ref(dfa),
+            n_states=stats.n_states,
+            table=table,
+            arrays=tuple(arrays),
+            crcs=tuple(block_checksums(a.data) for a in arrays),
+        )
         self.bind_count += 1
         self.tracer.event(
             "device.bind_texture",
             n_states=stats.n_states,
             nbytes=stats.bytes_total,
+            stt_backend=backend,
+            gather_bytes=sum(a.data.nbytes for a in arrays),
         )
         fault = self._poke("bind_texture", n_states=stats.n_states)
         if fault is not None:
-            fault.mutate_table(table)
+            fault.mutate_table(*(a.data for a in arrays))
         return binding
 
     def unbind_texture(self) -> None:
@@ -416,31 +467,64 @@ class Device:
             return
         self.free(self._texture.bytes_total)
         self._texture = None
-        self._texture_table = None
-        self._texture_crcs = None
+        self._resident = None
 
     def verify_texture(self) -> None:
-        """Re-checksum the texture-resident STT against its bind-time CRCs.
+        """Re-check every block CRC of the bound gather arrays.
 
         No-op when nothing is bound.  Raises
-        :class:`~repro.errors.IntegrityError` naming the corrupted rows
-        — callers run this before trusting the table for a scan, which
-        is what makes post-bind corruption loud instead of a silent
-        mis-match.
+        :class:`~repro.errors.IntegrityError` naming each bad block's
+        array and the state (or class, or byte) range it covers —
+        callers run this before every launch, and the launch then reads
+        exactly these bytes, so post-bind corruption is loud instead of
+        a silent mis-match.
         """
-        if self._texture_table is None:
+        resident = self._resident
+        if resident is None:
             return
-        bad = verify_row_checksums(self._texture_table, self._texture_crcs)
+        bad = [
+            (array, block)
+            for array, crcs in zip(resident.arrays, resident.crcs)
+            for block in verify_block_checksums(array.data, crcs)
+        ]
         if bad:
+            spans = "; ".join(resident.describe(a, k) for a, k in bad[:8])
             raise IntegrityError(
-                "texture-resident STT corrupted after bind: rows "
-                f"{bad[:8]}" + ("..." if len(bad) > 8 else "")
-                + " fail their CRC32 check"
+                "texture-resident gather tables corrupted after bind; "
+                f"blocks failing their CRC32 check: {spans}"
+                + ("; ..." if len(bad) > 8 else "")
             )
+
+    def gather_table(self, dfa, stt_backend: str):
+        """The bound gather table a launch of *dfa* under *stt_backend* reads.
+
+        A fused ``(col_flat, cls_lut, flag_flat)`` triple or an adapter
+        over the device's copy, to hand to
+        :func:`repro.core.tiled.scan_tiled`.  Raises
+        :class:`~repro.errors.LaunchError` when nothing is bound, or the
+        binding holds another automaton or another backend.
+        """
+        resident = self._resident
+        if resident is None:
+            raise LaunchError("no texture bound: bind_texture before launch")
+        if resident.dfa() is not dfa:
+            raise LaunchError("texture bound for a different automaton")
+        bound = self._texture.stt_backend
+        if bound != stt_backend:
+            raise LaunchError(
+                f"texture bound for stt_backend {bound!r}; the launch "
+                f"asked for {stt_backend!r}"
+            )
+        return resident.table
+
+    @property
+    def gather_arrays(self) -> Tuple[GatherArray, ...]:
+        """The bound copy's arrays, each as its block CRCs cover it."""
+        return () if self._resident is None else self._resident.arrays
 
     @property
     def texture(self) -> Optional[TextureBinding]:
-        """Currently bound STT, if any."""
+        """Currently bound automaton, if any."""
         return self._texture
 
     # -- launches -----------------------------------------------------------

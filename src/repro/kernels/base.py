@@ -1,9 +1,9 @@
 """Shared kernel infrastructure: the host program, costs, texture traffic.
 
 Every simulated kernel runs the paper's host program once, through
-:func:`run_on_device`: copy the input to global memory, bind the STT
-to texture, verify the bound table, launch, release.  Inside the
-launch each kernel runs two decoupled passes:
+:func:`run_on_device`: copy the input to global memory, bind the
+backend's gather tables to texture, verify the bound copy, launch,
+release.  Inside the launch each kernel runs two decoupled passes:
 
 1. **measure** — the lockstep DFA engine produces the exact match set
    plus every countable memory event (transactions, bank-conflict
@@ -539,6 +539,7 @@ def scan_segment(
     tile_len: int,
     tracer,
     extra_sink=None,
+    gather_table=None,
 ) -> ScanSegment:
     """Tiled scan plus texture accounting in one walk, memoized by content.
 
@@ -561,6 +562,12 @@ def scan_segment(
     the dense layout — but the segment records a
     :class:`~repro.compress.backend.BackendCost` snapshot (footprint,
     exact failure-chain walk counts) that pricing folds in.
+
+    ``gather_table`` supplies the bytes the scan gathers through: a
+    launch passes its device's bound copy
+    (:meth:`~repro.gpu.device.Device.gather_table`), which
+    :func:`run_on_device` verified just before; without one the scan
+    reads the DFA's memo.
     """
     backend = resolve_backend(stt_backend)
     key = segment_key(
@@ -584,15 +591,15 @@ def scan_segment(
 
     texture = TextureClassifier(dfa.n_states, config.texture_cache.line_bytes)
     sinks = [texture] if extra_sink is None else [texture, extra_sink]
-    # Chain/lookup counters are cumulative on the adapter the DFA
-    # memoizes (the one the scan below gathers through); snapshot
-    # around the scan so the recorded cost covers exactly this scan.
-    table = dfa.gather_table(backend)
+    # Chain/lookup counters are cumulative on the adapter the scan
+    # below gathers through (the bound copy's, else the DFA's memo);
+    # snapshot around the scan so the recorded cost covers exactly it.
+    table = dfa.gather_table(backend) if gather_table is None else gather_table
     before = cost_of(dfa, table, backend)
     with tracer.span("ownership_filter") as sp:
         outcome = scan_tiled(
             dfa, arr, plan=plan, tile_len=tile_len, stt_backend=backend,
-            sinks=sinks,
+            gather_table=table, sinks=sinks,
         )
         sp.set(raw_hits=outcome.raw_hits, matches=len(outcome.matches))
     after = cost_of(dfa, table, backend)
@@ -618,19 +625,27 @@ def run_on_device(
     data,
     device: Optional[Device],
     tracer,
-    body: Callable[[np.ndarray, Device, Any], KernelResult],
+    body: Callable[[np.ndarray, Device, Any, Any], KernelResult],
+    *,
+    stt_backend: str,
     **span_attrs,
 ) -> KernelResult:
     """The paper's host program, shared by every simulated kernel.
 
     Performs the full lifecycle on the device: a checksummed
-    host→device copy of the input, a texture bind of the STT (skipped
-    when the caller pre-bound one), an integrity check of the
-    texture-resident table, then ``body(staged, device, tracer)`` —
-    the kernel's measure + price — inside a ``kernel_body`` span that
-    carries the matches, modeled seconds, regime and counters.  Win or
-    lose, every byte allocated here is released, so repeated runs on a
-    long-lived device never exhaust the simulated global memory.
+    host→device copy of the input, a texture bind of *dfa*'s gather
+    tables for *stt_backend* (skipped when the caller pre-bound them;
+    a binding of another automaton or backend raises
+    :class:`~repro.errors.LaunchError`), a block-CRC check of the bound
+    copy, then ``body(staged, device, tracer, gather_table)`` — the
+    kernel's measure + price, where ``gather_table`` is that verified
+    copy — inside a ``kernel_body`` span that carries the matches,
+    modeled seconds, regime and counters.  The AC kernels scan through
+    ``gather_table``, so each launch verifies exactly the bytes it
+    reads; PFAC ignores it and reads its own per-launch trie table,
+    which no device check covers.  Win or lose, every byte allocated
+    here is released, so repeated runs on a long-lived device never
+    exhaust the simulated global memory.
 
     ``tracer`` defaults to the device's, else the no-op tracer; it
     records ``copy_input``/``bind_texture``/``verify_texture``/
@@ -649,11 +664,12 @@ def run_on_device(
     try:
         if owns_texture:
             with tracer.span("bind_texture", n_states=dfa.n_states):
-                device.bind_texture(dfa.stt)
+                device.bind_texture(dfa, stt_backend)
+        table = device.gather_table(dfa, stt_backend)
         with tracer.span("verify_texture", n_states=dfa.n_states):
             device.verify_texture()
         with tracer.span("kernel_body", kernel=kernel, **span_attrs) as sp:
-            result = body(staged, device, tracer)
+            result = body(staged, device, tracer, table)
             sp.set(
                 matches=len(result.matches),
                 modeled_seconds=result.seconds,

@@ -103,6 +103,7 @@ def measure_global(
     tracer=None,
     tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
+    gather_table=None,
 ) -> GlobalMeasurement:
     """Functional pass + event measurement (no pricing).
 
@@ -111,7 +112,8 @@ def measure_global(
     coalescing accumulator fused into its tiles.  The whole
     measurement is independent of ``threads_per_block`` — that only
     shapes the launch — so repeated bench cells and perf-gate reruns
-    share one cached segment.
+    share one cached segment.  ``gather_table`` is the device's
+    verified copy a launch scans through (default: the DFA's memo).
     """
     params = params or CostParams()
     arr = encode(data, name="data")
@@ -130,6 +132,7 @@ def measure_global(
         stt_backend=stt_backend,
         tile_len=tile_len,
         tracer=coalesce(tracer),
+        gather_table=gather_table,
         extra_sink=_InputLoadSink(config),
     )
     return GlobalMeasurement(
@@ -240,7 +243,7 @@ def run_global_kernel(
     the device's, else no-op) records the lifecycle spans.
     """
 
-    def body(staged, device, tracer):
+    def body(staged, device, tracer, gather_table):
         meas = measure_global(
             dfa,
             staged,
@@ -251,7 +254,11 @@ def run_global_kernel(
             tracer=tracer,
             tile_len=tile_len,
             stt_backend=stt_backend,
+            gather_table=gather_table,
         )
         return price_global(meas, device, params)
 
-    return run_on_device("global_only", dfa, data, device, tracer, body)
+    return run_on_device(
+        "global_only", dfa, data, device, tracer, body,
+        stt_backend=stt_backend,
+    )

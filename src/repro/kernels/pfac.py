@@ -269,7 +269,7 @@ def run_pfac_kernel(
     params = params or CostParams()
     backend = resolve_backend(stt_backend)
 
-    def body(arr, device, tracer):
+    def body(arr, device, tracer, _gather_table):
         # Both functional passes (and the trie build feeding them) are a
         # deterministic function of the pattern set, input bytes, gather
         # backend, launch width, and the config/params constants —
@@ -304,7 +304,9 @@ def run_pfac_kernel(
             occupancy=occupancy,
         )
 
-    return run_on_device("pfac", dfa, data, device, tracer, body)
+    return run_on_device(
+        "pfac", dfa, data, device, tracer, body, stt_backend=backend
+    )
 
 
 def _pfac_passes(

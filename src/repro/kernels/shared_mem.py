@@ -108,6 +108,7 @@ def measure_shared(
     tracer=None,
     tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
+    gather_table=None,
 ) -> SharedMeasurement:
     """Functional pass + event measurement (no pricing).
 
@@ -116,6 +117,8 @@ def measure_shared(
     summaries are data-independent per-block templates.  ``scheme``
     and ``stt_in_texture`` only change those templates and the pricing,
     so the five shared variants of a bench cell share one cached scan.
+    ``gather_table`` is the device's verified copy a launch scans
+    through (default: the DFA's memo).
     """
     params = params or CostParams()
     store = get_scheme(scheme)
@@ -148,6 +151,7 @@ def measure_shared(
         stt_backend=stt_backend,
         tile_len=tile_len,
         tracer=coalesce(tracer),
+        gather_table=gather_table,
     )
 
     # Per-block templates (identical across blocks; scaled at pricing).
@@ -336,7 +340,7 @@ def run_shared_kernel(
     device's, else the no-op tracer) records its spans.
     """
 
-    def body(staged, device, tracer):
+    def body(staged, device, tracer, gather_table):
         meas = measure_shared(
             dfa,
             staged,
@@ -350,9 +354,11 @@ def run_shared_kernel(
             tracer=tracer,
             tile_len=tile_len,
             stt_backend=stt_backend,
+            gather_table=gather_table,
         )
         return price_shared(meas, device, params)
 
     return run_on_device(
-        "shared_memory", dfa, data, device, tracer, body, scheme=scheme
+        "shared_memory", dfa, data, device, tracer, body,
+        stt_backend=stt_backend, scheme=scheme,
     )

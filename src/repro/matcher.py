@@ -95,9 +95,14 @@ class Matcher:
         — profiling works with the metrics registry absent).
     tile_len:
         Step-tile size for the tiled streaming engine the GPU backend
-        runs on (default: :data:`repro.core.tiled.DEFAULT_TILE_LEN`).
-        Peak scan memory is O(n_threads × tile_len), independent of
-        input size; results are byte-identical for every value.
+        runs on (default: :data:`repro.core.tiled.DEFAULT_TILE_LEN`);
+        results are byte-identical for every value.  It bounds only
+        the O(n_threads × tile_len) tile scratch: a gpu scan's texture
+        accounting keeps 4 B per lockstep cell (about 4 B per input
+        byte, plus the chunk overlap) until the scan ends, and the
+        device holds the ``stt_backend``'s gather arrays for the
+        matcher's lifetime (``compact``: n_states × n_classes × 3 B
+        below 2**16 states, × 5 B above).
     stt_backend:
         STT storage backend for the GPU backend's δ-gather: ``"dense"``,
         ``"compact"`` (default), ``"banded"``, or ``"bitmap"`` (see
@@ -286,13 +291,15 @@ class Matcher:
         """The persistent device for GPU scans, texture pre-bound.
 
         Created lazily on the first GPU scan and kept on
-        :attr:`device`, with this matcher's STT bound to texture memory
-        exactly once — repeat scans (and every packet of a
-        :meth:`scan_packets` stream) reuse the binding instead of
-        re-uploading the table per call (regression: every scan used to
-        pay a fresh device + rebind).  Callers that install their own
-        device (the resilient pipeline swaps in a fresh one per GPU
-        attempt) get the same one-time bind on it.
+        :attr:`device`, with this matcher's gather tables for its
+        ``stt_backend`` bound to texture memory exactly once — repeat
+        scans (and every packet of a :meth:`scan_packets` stream) reuse
+        the binding instead of re-uploading the table per call
+        (regression: every scan used to pay a fresh device + rebind).
+        Callers that install their own device (the resilient pipeline
+        swaps in a fresh one per GPU attempt) get the same one-time
+        bind on it.  The device holds the bound copy the scans read;
+        the DFA's host memo of the same tables is left unbuilt.
         """
         from repro.gpu.device import Device
 
@@ -302,7 +309,7 @@ class Matcher:
             with self.tracer.span(
                 "bind_texture", n_states=self._dfa.n_states
             ):
-                self.device.bind_texture(self._dfa.stt)
+                self.device.bind_texture(self._dfa, self.stt_backend)
         return self.device
 
     def _run_gpu_kernel(self, text: BytesLike):

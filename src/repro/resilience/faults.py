@@ -117,7 +117,8 @@ class Fault:
         Seeds the fault's own RNG (which bits flip, which bytes
         garble) — independent of the workload RNG.
     bits:
-        STT_BITFLIP: number of bit flips to apply to the bound table.
+        STT_BITFLIP: number of bit flips to apply to the device's bound
+        gather arrays.
     drop_bytes:
         INPUT_TRUNCATE: bytes cut off the end of the staged copy (at
         least 1 is always dropped).
@@ -151,15 +152,22 @@ class Fault:
 
     # -- corruption payloads (duck-typed; called by the Device) ---------
 
-    def mutate_table(self, table: np.ndarray) -> None:
-        """STT_BITFLIP: flip ``bits`` random bits of the bound table."""
+    def mutate_table(self, *tables: np.ndarray) -> None:
+        """STT_BITFLIP / SWAP_STT_MISMATCH: flip ``bits`` random bits.
+
+        The bytes of *tables* are addressed as one buffer, in order: a
+        device binding's gather arrays, or the one STT an epoch swap is
+        about to serve.
+        """
         rng = np.random.default_rng(self.seed)
-        flat = table.reshape(-1).view(np.uint8)
+        flats = [t.reshape(-1).view(np.uint8) for t in tables]
+        ends = np.cumsum([f.size for f in flats])
         n = max(int(self.bits), 1)
-        positions = rng.integers(0, flat.size, size=n)
+        positions = rng.integers(0, int(ends[-1]), size=n)
         masks = np.uint8(1) << rng.integers(0, 8, size=n).astype(np.uint8)
         for pos, mask in zip(positions, masks):
-            flat[pos] ^= mask
+            i = int(np.searchsorted(ends, pos, side="right"))
+            flats[i][pos - (ends[i - 1] if i else 0)] ^= mask
 
     def mutate_input(self, data: np.ndarray) -> np.ndarray:
         """INPUT_TRUNCATE/INPUT_GARBLE: return the damaged staged copy."""

@@ -69,9 +69,12 @@ class CacheEntry:
 
     digest: str
     dfa: DFA
-    #: Per-row CRC32 of the STT at build time; consumers bind with
-    #: ``device.bind_texture(dfa.stt, row_checksums)`` so a corrupted
-    #: cache entry is rejected before it can drive a scan.
+    #: Per-row CRC32 of the STT at build time.  :meth:`verify`
+    #: re-checks the table against it on every cache hit, so a
+    #: corrupted entry is evicted and rebuilt before it can drive a
+    #: scan.  The other row checks are ``EpochManager._verify`` and the
+    #: REPRODFA load; a device bind takes no row CRCs — the device
+    #: block-checksums its own copy of the gather arrays.
     row_checksums: np.ndarray
     case_insensitive: bool
     #: STT storage backend this entry's gather table was prepared for;

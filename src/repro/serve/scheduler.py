@@ -237,9 +237,12 @@ class ScanScheduler:
         nothing older.
     tile_len:
         Step-tile size for the tiled streaming engine behind every
-        matcher this scheduler builds (default: the engine's).  Peak
-        batch-scan memory is O(lanes × tile_len) regardless of how
-        large a batch buffer the requests concatenate into.
+        matcher this scheduler builds (default: the engine's).  It
+        bounds only the O(lanes × tile_len) tile scratch: a gpu batch's
+        texture accounting keeps 4 B per lockstep cell of the
+        concatenated buffer (about 4 B per input byte, plus the chunk
+        overlap) until its scan ends, and each resident matcher's
+        device holds its backend's gather arrays.
     stt_backend:
         STT storage backend (dense/compact/banded/bitmap) for every
         matcher this scheduler builds; also part of the automaton

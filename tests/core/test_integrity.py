@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.integrity import (
+    BLOCK_BYTES,
     CHECKSUM_DTYPE,
+    block_checksums,
     crc32_bytes,
     stt_row_checksums,
+    verify_block_checksums,
     verify_row_checksums,
 )
 
@@ -129,3 +132,36 @@ class TestCrc32Bytes:
         for arr in (table, table.T, table[::2, 1:], table.astype(">i4")):
             want = zlib.crc32(np.ascontiguousarray(arr).tobytes())
             assert crc32_bytes(arr) == want
+
+
+class TestBlockChecksums:
+    """The device's in-memory block CRCs: one ``zlib.crc32`` per block."""
+
+    @pytest.mark.parametrize(
+        "nbytes", [0, 1, BLOCK_BYTES - 1, BLOCK_BYTES, 2 * BLOCK_BYTES + 3]
+    )
+    def test_one_crc_per_block_last_may_be_short(self, nbytes):
+        data = np.random.default_rng(nbytes).integers(
+            0, 256, size=nbytes, dtype=np.uint8
+        )
+        raw = data.tobytes()
+        expected = [
+            zlib.crc32(raw[i : i + BLOCK_BYTES])
+            for i in range(0, nbytes, BLOCK_BYTES)
+        ]
+        assert block_checksums(data).tolist() == expected
+        assert block_checksums(data).dtype == CHECKSUM_DTYPE
+
+    def test_wide_arrays_hash_their_bytes(self):
+        arr = np.arange(3 * BLOCK_BYTES // 4, dtype=np.int32)
+        assert block_checksums(arr).tolist() == block_checksums(
+            arr.view(np.uint8)
+        ).tolist()
+        assert block_checksums(arr).size == 3
+
+    def test_one_bit_flip_names_exactly_its_block(self):
+        arr = np.zeros(3 * BLOCK_BYTES // 2, dtype=np.uint16)
+        expected = block_checksums(arr)
+        assert verify_block_checksums(arr, expected) == []
+        arr.view(np.uint8)[BLOCK_BYTES + 7] ^= 0x10
+        assert verify_block_checksums(arr, expected) == [1]

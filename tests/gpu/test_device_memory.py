@@ -54,7 +54,7 @@ class TestPairedFree:
 class TestTextureLifecycle:
     def test_bind_unbind_pairs_bytes(self, dfa):
         dev = Device()
-        binding = dev.bind_texture(dfa.stt)
+        binding = dev.bind_texture(dfa, "compact")
         assert dev.allocated_bytes == binding.bytes_total
         dev.unbind_texture()
         assert dev.allocated_bytes == 0
@@ -62,8 +62,8 @@ class TestTextureLifecycle:
 
     def test_rebind_frees_previous_binding(self, dfa):
         dev = Device()
-        first = dev.bind_texture(dfa.stt)
-        second = dev.bind_texture(dfa.stt)
+        first = dev.bind_texture(dfa, "compact")
+        second = dev.bind_texture(dfa, "compact")
         assert dev.allocated_bytes == second.bytes_total == first.bytes_total
 
     def test_unbind_without_bind_is_noop(self):
@@ -87,7 +87,7 @@ class TestKernelsReleaseBuffers:
     def test_kernel_keeps_caller_bound_texture(self, dfa):
         """A pre-bound texture (bench harness style) survives the run."""
         dev = Device()
-        binding = dev.bind_texture(dfa.stt)
+        binding = dev.bind_texture(dfa, "compact")
         run_shared_kernel(dfa, TEXT, dev)
         assert dev.texture is binding
         assert dev.allocated_bytes == binding.bytes_total

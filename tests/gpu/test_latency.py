@@ -150,7 +150,7 @@ class TestDevice:
 
     def test_bind_texture(self, paper_dfa):
         dev = Device()
-        binding = dev.bind_texture(paper_dfa.stt)
+        binding = dev.bind_texture(paper_dfa, "compact")
         assert binding.n_states == 10
         assert dev.texture is binding
 

@@ -74,6 +74,6 @@ class TestPerformanceContract:
     def test_device_memory_accounting(self, workload):
         dfa, data = workload
         dev = Device()
-        binding = dev.bind_texture(dfa.stt)
+        binding = dev.bind_texture(dfa, "compact")
         assert binding.bytes_total == dfa.stt.stats().bytes_total
         run_shared_kernel(dfa, data, dev)  # works with texture bound

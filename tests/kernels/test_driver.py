@@ -52,7 +52,7 @@ def test_default_and_explicit_compact_share_one_segment(english_dfa, name):
 def test_garbled_input_copy_is_refused_without_leaking(english_dfa, name):
     run = KERNELS[name]
     device = Device(injector=FaultInjector(FaultPlan.single("input_garble")))
-    device.bind_texture(english_dfa.stt)
+    device.bind_texture(english_dfa, "compact")
     allocated = device.allocated_bytes
     with pytest.raises(IntegrityError):
         run(english_dfa, TEXT, device)

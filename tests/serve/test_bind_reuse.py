@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import PatternSet, integrity
+from repro.core.tiled import GatherKernel
 from repro.gpu.device import Device
+from repro.kernels import segcache
 from repro.matcher import Matcher
 from repro.obs import Tracer
 from repro.serve import ScanScheduler
@@ -98,14 +100,18 @@ class TestSchedulerBindReuse:
             True,
         ]
 
-    def test_repeat_batch_runs_two_row_crc_passes(self, monkeypatch):
-        """Skipping the bind keeps both integrity checks: a repeat gpu
-        batch re-checksums the table once for the cache hit and once
-        for the texture, and no other row-CRC pass runs."""
+    def test_repeat_batch_verifies_gathered_bytes_once(self, monkeypatch):
+        """Skipping the bind keeps both integrity checks, each once: a
+        repeat gpu batch runs the cache hit's dense row-CRC pass (and no
+        other row-CRC pass), then one texture check whose block CRCs
+        cover exactly the arrays the launch's gather kernel reads."""
         sched = ScanScheduler()
         rules = PatternSet.from_strings(IDS)
         sched.scan_many(rules, ["ushers", "she"])
+        segcache.clear()  # the repeat batch must really scan
         calls = []
+        verified = []
+        gathered = []
 
         def tagged(name, fn):
             def wrapper(*args, **kwargs):
@@ -114,6 +120,17 @@ class TestSchedulerBindReuse:
 
             return wrapper
 
+        def verify_texture(device):
+            calls.append("verify_texture")
+            verified.append([a.data for a in device.gather_arrays])
+            return real_verify(device)
+
+        def gather_init(kernel, *args, **kwargs):
+            real_init(kernel, *args, **kwargs)
+            gathered.append([kernel.col_flat, kernel.cls_lut, kernel.flag_flat])
+
+        real_verify = Device.verify_texture
+        real_init = GatherKernel.__init__
         monkeypatch.setattr(
             integrity,
             "stt_row_checksums",
@@ -122,11 +139,12 @@ class TestSchedulerBindReuse:
         monkeypatch.setattr(
             CacheEntry, "verify", tagged("cache_verify", CacheEntry.verify)
         )
-        monkeypatch.setattr(
-            Device,
-            "verify_texture",
-            tagged("verify_texture", Device.verify_texture),
-        )
+        monkeypatch.setattr(Device, "verify_texture", verify_texture)
+        monkeypatch.setattr(GatherKernel, "__init__", gather_init)
         sched.scan_many(rules, ["hers", "his"])
         assert sched.reports[-1].bind_skipped
-        assert calls == ["cache_verify", "row_crc", "verify_texture", "row_crc"]
+        assert calls == ["cache_verify", "row_crc", "verify_texture"]
+        (checked,) = verified
+        (read,) = gathered
+        assert len(checked) == len(read) == 3
+        assert all(c is r for c, r in zip(checked, read))

@@ -83,7 +83,7 @@ class TestSectionIVB1:
         the GPU side device memory' — binding allocates device memory."""
         _, _, dfa = paper_machine
         dev = Device()
-        binding = dev.bind_texture(dfa.stt)
+        binding = dev.bind_texture(dfa, "compact")
         assert binding.bytes_total == dfa.stt.stats().bytes_total
 
 
