@@ -656,7 +656,12 @@ class ExperimentRunner:
         n_patterns: int,
         kernels: Sequence[str],
     ) -> CellResult:
-        """Uncached cell execution (see :meth:`run_cell`)."""
+        """Uncached cell execution (see :meth:`run_cell`).
+
+        Raises :class:`~repro.errors.ExperimentError` when the cell's
+        GPU kernels disagree on the match count: every kernel returns
+        the exact match set, so a disagreement is a functional bug.
+        """
         cell = self.factory.cell(size_label, n_patterns)
         dfa = self.dfa_for(n_patterns)
         out = CellResult(
@@ -734,6 +739,12 @@ class ExperimentRunner:
                 stt_backend=self.stt_backend,
             )
             out.kernels["pfac"] = self._scaled(r, cell)
+        counts = {name: k.matches for name, k in out.kernels.items()}
+        if len(set(counts.values())) > 1:
+            raise ExperimentError(
+                f"cell {size_label}/p{n_patterns}: GPU kernels disagree "
+                f"on the match count: {counts}"
+            )
         return out
 
     def measure_serial_mt(

@@ -21,12 +21,11 @@ from repro.compress.backend import (
     resolve_backend,
 )
 from repro.compress.banded import BandedSTT, CompressionStats
-from repro.compress.bitmap import BitmapDeltaSTT, BitmapRowSTT
+from repro.compress.bitmap import BitmapDeltaSTT
 
 __all__ = [
     "BandedSTT",
     "BitmapDeltaSTT",
-    "BitmapRowSTT",
     "CompressionStats",
     "STT_BACKENDS",
     "DEFAULT_BACKEND",

@@ -37,7 +37,7 @@ and block-checksums them (:meth:`repro.gpu.device.Device.bind_texture`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -92,6 +92,18 @@ class BackendCost:
         if self.lookups <= 0:
             return 0.0
         return self.chain_steps / self.lookups
+
+    def since(self, before: "BackendCost") -> "BackendCost":
+        """The cost of the lookups made after the snapshot *before*.
+
+        An adapter's lookup and chain counters are cumulative, so a
+        scan's own cost is the snapshot after it less the one before.
+        """
+        return replace(
+            self,
+            lookups=self.lookups - before.lookups,
+            chain_steps=self.chain_steps - before.chain_steps,
+        )
 
 
 @dataclass(frozen=True)

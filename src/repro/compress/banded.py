@@ -28,7 +28,6 @@ set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -77,31 +76,7 @@ class BandedSTT:
     @classmethod
     def from_stt(cls, stt: STT) -> "BandedSTT":
         """Compress a dense STT row by row (vectorized per row)."""
-        return cls.from_table(
-            stt.next_states,
-            match_flags=np.array(stt.match_flags, dtype=np.int8),
-            dense_bytes=stt.stats().bytes_total,
-        )
-
-    @classmethod
-    def from_table(
-        cls,
-        table: np.ndarray,
-        match_flags: Optional[np.ndarray] = None,
-        dense_bytes: Optional[int] = None,
-    ) -> "BandedSTT":
-        """Compress any dense ``(n, >=256)`` transition table.
-
-        Generalizes :meth:`from_stt` to tables that are not full STTs —
-        the PFAC failureless trie table, whose filler is the DEAD
-        sentinel rather than a failure-chain target, bands just as well
-        (DEAD becomes the row default).  *match_flags* may be omitted
-        for such tables.
-        """
-        table = np.asarray(table)
-        if table.ndim != 2 or table.shape[1] < ALPHABET_SIZE:
-            raise ReproError("table must be (n_states, >=256)")
-        table = table[:, :ALPHABET_SIZE]
+        table = stt.next_states
         n = table.shape[0]
         default = np.empty(n, dtype=STATE_DTYPE)
         lo = np.zeros(n, dtype=np.int16)
@@ -125,18 +100,14 @@ class BandedSTT:
             if chunks
             else np.empty(0, dtype=STATE_DTYPE)
         )
-        if match_flags is None:
-            match_flags = np.zeros(n, dtype=np.int8)
-        if dense_bytes is None:
-            dense_bytes = int(table.nbytes)
         return cls(
             default=default,
             lo=lo,
             width=width,
             offsets=offsets,
             values=values,
-            match_flags=np.asarray(match_flags, dtype=np.int8),
-            dense_bytes=int(dense_bytes),
+            match_flags=np.array(stt.match_flags, dtype=np.int8),
+            dense_bytes=int(stt.stats().bytes_total),
         )
 
     @property

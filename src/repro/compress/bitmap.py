@@ -29,12 +29,6 @@ Two lookup paths share one representation:
   state), so the walk raises instead of spinning — the bounded-walk
   assertion the fuzz suite (`tests/compress/test_bitmap_fuzz.py`)
   attacks with adversarial dictionaries.
-
-:class:`BitmapRowSTT` is the failure-less sibling used by the PFAC
-kernel: the trie table has no failure function (undefined transition =
-dead), so each row's bitmap marks its *defined* columns against a
-constant default and lookup is a single popcount-rank with no walk —
-the classic Bellekens-style bitmap+popcount row.
 """
 
 from __future__ import annotations
@@ -394,97 +388,3 @@ class BitmapDeltaSTT:
             depth=depth.astype(np.int64),
             dense_bytes=dense_bytes,
         )
-
-
-class BitmapRowSTT:
-    """Chain-free bitmap+popcount rows over a constant default target.
-
-    The PFAC failureless trie has no failure function: an undefined
-    transition simply kills the thread (:data:`~repro.kernels.pfac.DEAD`).
-    Each row's bitmap therefore marks its *defined* columns and lookup
-    is one popcount-rank — no walk, no data dependence, exactly the
-    Bellekens-style compressed IDS row.
-    """
-
-    __slots__ = ("bitmaps", "offsets", "packed", "default", "_dense_bytes")
-
-    def __init__(self, bitmaps, offsets, packed, default, dense_bytes):
-        self.bitmaps = bitmaps
-        self.offsets = offsets
-        self.packed = packed
-        self.default = int(default)
-        self._dense_bytes = dense_bytes
-
-    @classmethod
-    def from_table(cls, table: np.ndarray, default: int) -> "BitmapRowSTT":
-        """Compress a dense ``(n, 256)`` table whose filler is *default*."""
-        if table.ndim != 2 or table.shape[1] < ALPHABET_SIZE:
-            raise ReproError("table must be (n_states, >=256)")
-        n = table.shape[0]
-        bitmaps = np.zeros((n, ALPHABET_SIZE // 8), dtype=np.uint8)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        chunks: List[np.ndarray] = []
-        for s in range(n):
-            row = table[s, :ALPHABET_SIZE]
-            cols = np.flatnonzero(row != default)
-            if cols.size:
-                np.bitwise_or.at(
-                    bitmaps[s], cols // 8, (1 << (cols % 8)).astype(np.uint8)
-                )
-                chunks.append(row[cols])
-            offsets[s + 1] = offsets[s] + cols.size
-        packed = (
-            np.concatenate(chunks).astype(STATE_DTYPE)
-            if chunks
-            else np.empty(0, dtype=STATE_DTYPE)
-        )
-        return cls(
-            bitmaps=bitmaps,
-            offsets=offsets,
-            packed=packed,
-            default=default,
-            dense_bytes=int(table[:, :ALPHABET_SIZE].nbytes),
-        )
-
-    @property
-    def n_states(self) -> int:
-        """Number of states."""
-        return self.offsets.size - 1
-
-    def next_states(self, states: np.ndarray, syms: np.ndarray) -> np.ndarray:
-        """Vectorized single-fetch popcount-rank lookup."""
-        s = np.asarray(states, dtype=np.int64)
-        a = np.asarray(syms, dtype=np.int64)
-        byte_idx = a >> 3
-        bit = _BIT[a & 7]
-        has = (self.bitmaps[s, byte_idx] & bit).astype(bool)
-        res = np.full(s.shape, self.default, dtype=STATE_DTYPE)
-        if has.any():
-            hs, ha = s[has], a[has]
-            rows = _POPCOUNT[self.bitmaps[hs]]
-            prefix = np.where(
-                _COLS[None, :] < (ha >> 3)[:, None], rows, 0
-            ).sum(axis=1)
-            rem_mask = (_BIT[ha & 7] - np.uint8(1)).astype(np.uint8)
-            prefix += _POPCOUNT[self.bitmaps[hs, ha >> 3] & rem_mask]
-            res[has] = self.packed[self.offsets[hs] + prefix]
-        return res
-
-    def stats(self) -> CompressionStats:
-        """Compression accounting."""
-        compressed = (
-            self.bitmaps.nbytes + self.offsets.nbytes + self.packed.nbytes
-        )
-        return CompressionStats(
-            dense_bytes=self._dense_bytes,
-            compressed_bytes=compressed,
-            n_states=self.n_states,
-        )
-
-    def verify_against(self, table: np.ndarray) -> bool:
-        """Exhaustive equality with the dense table."""
-        n = self.n_states
-        states = np.repeat(np.arange(n, dtype=np.int64), ALPHABET_SIZE)
-        syms = np.tile(np.arange(ALPHABET_SIZE, dtype=np.int64), n)
-        got = self.next_states(states, syms).reshape(n, ALPHABET_SIZE)
-        return bool(np.array_equal(got, table[:, :ALPHABET_SIZE]))

@@ -20,8 +20,9 @@ self-loop).  All unused bytes therefore share one identical STT column
 and can be merged into a single class whose compacted column is
 all-ROOT.  Used bytes keep their own class, so the compacted table
 ``C[s, class_of[b]] == STT[s, b]`` holds for all ``(s, b)`` exactly.
-The same construction applies to PFAC's failureless trie with the
-"other" column equal to ``DEAD`` (an unused byte kills every thread).
+PFAC walks the same table (a transition is a failureless-trie edge
+exactly when it lands one trie depth deeper), so an unused byte's
+root target kills every PFAC thread too.
 
 The compacted table is ``(n_states, n_used + 1)`` instead of
 ``(n_states, 257)`` — for English dictionaries a ~4.8× smaller working
@@ -76,16 +77,12 @@ class ByteClassMap:
         return cls(class_of=class_of, used=used)
 
 
-def compact_columns(
-    dense: np.ndarray, cmap: ByteClassMap, other_value: int
-) -> np.ndarray:
-    """Project a dense ``(n_states, 256)`` table onto *cmap*'s classes.
+def compact_columns(dense: np.ndarray, cmap: ByteClassMap) -> np.ndarray:
+    """Project a dense ``(n_states, 256)`` DFA table onto *cmap*'s classes.
 
-    Column 0 (the other class) is filled with *other_value* — ``ROOT``
-    for the AC DFA, ``DEAD`` for PFAC's failureless trie.  The caller
-    is responsible for *other_value* being the true shared next-state
-    of every unused byte; :meth:`CompactSTT.verify_against` checks it
-    exhaustively for the DFA case.
+    Column 0 (the other class) is ``ROOT``: every unused byte sends
+    every state to the root (see the module docstring);
+    :meth:`CompactSTT.verify_against` checks it exhaustively.
     """
     if dense.ndim != 2 or dense.shape[1] < ALPHABET_SIZE:
         raise ReproError(
@@ -94,7 +91,7 @@ def compact_columns(
         )
     n_states = dense.shape[0]
     table = np.empty((n_states, cmap.n_classes), dtype=STATE_DTYPE)
-    table[:, 0] = other_value
+    table[:, 0] = ROOT
     if cmap.used.size:
         table[:, 1:] = dense[:, cmap.used]
     return np.ascontiguousarray(table)
@@ -185,7 +182,7 @@ class CompactSTT:
     def from_dfa(cls, dfa) -> "CompactSTT":
         """Build the compacted table for a DFA (other class → ROOT)."""
         cmap = ByteClassMap.from_patterns(dfa.patterns)
-        table = compact_columns(dfa.stt.next_states, cmap, ROOT)
+        table = compact_columns(dfa.stt.next_states, cmap)
         return cls(cmap, table)
 
     @property

@@ -63,6 +63,7 @@ class DFA:
         "pattern_lengths",
         "patterns",
         "_compact",
+        "_depths",
         "_backends",
         "_fused_dense",
         # Weak-referenceable so cache-eviction tests (and diagnostics)
@@ -84,6 +85,7 @@ class DFA:
         self.pattern_lengths = patterns.lengths()
         self.patterns = patterns
         self._compact = None
+        self._depths = None
         self._backends = {}
         self._fused_dense = {}
 
@@ -273,6 +275,35 @@ class DFA:
 
             self._compact = CompactSTT.from_dfa(self)
         return self._compact
+
+    def state_depths(self) -> np.ndarray:
+        """Each state's trie depth (its label's length), built once and cached.
+
+        One breadth-first walk of the compacted table from the root:
+        the states first reached at level ``d`` are exactly the depth-d
+        states.  A state of depth ``d`` is entered only by inputs whose
+        longest trie-prefix suffix is its own ``d``-byte label, so no
+        shorter path reaches it; and each row's unvisited targets are
+        precisely its trie children, so every level is one gather.
+        Computed from the table alone, the memo is the same however
+        the DFA was made (:meth:`build`, :meth:`from_automaton` or a
+        REPRODFA load).  PFAC reads it: δ(s, b) is a failureless-trie
+        edge exactly when it lands one depth deeper than ``s``.
+        """
+        if self._depths is None:
+            table = self.compact_stt().table
+            depths = np.full(self.n_states, -1, dtype=np.int64)
+            depths[ROOT] = 0
+            level = np.array([ROOT])
+            d = 0
+            while level.size:
+                d += 1
+                targets = table[level].ravel()
+                level = targets[depths[targets] < 0]
+                depths[level] = d
+            depths.setflags(write=False)
+            self._depths = depths
+        return self._depths
 
     def gather_table(self, stt_backend: str):
         """The gather table/adapter for a named STT backend, memoized.

@@ -113,7 +113,8 @@ class FaultInjectionError(ReproError):
 
 
 class ExperimentError(ReproError):
-    """Raised by the benchmark harness for unknown experiments/params."""
+    """Raised by the benchmark harness for unknown experiments/params,
+    or for a cell whose GPU kernels disagree on the match count."""
 
 
 class SchemaError(ReproError):

@@ -27,10 +27,9 @@ verifies a CRC32 over the staged bytes, and the texture binding is a
 device-owned copy of exactly the gather arrays the launch's STT
 backend reads, with one CRC32 per 64 KiB block
 (:func:`repro.core.integrity.block_checksums`) that
-:meth:`verify_texture` re-checks before every launch.  The AC kernels
-gather through that copy, so a flipped bit is either caught or read.
-PFAC builds and reads its own per-launch trie table, which no device
-check covers.  Without an injector every hook is a no-op.
+:meth:`verify_texture` re-checks before every launch.  Every kernel,
+PFAC included, gathers through that copy, so a flipped bit is either
+caught or read.  Without an injector every hook is a no-op.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ release.  Inside the launch each kernel runs two decoupled passes:
    plus every countable memory event (transactions, bank-conflict
    degrees, two-level texture traffic).  For the AC kernels this is
    :func:`scan_segment`, memoized by content key
-   (:mod:`repro.kernels.segcache`);
+   (:mod:`repro.kernels.segcache`); PFAC's single walk feeds the same
+   :class:`TextureClassifier` and is not memoized;
 2. **price** — the measured events are assembled into a
    :class:`~repro.gpu.latency.KernelCost` using the instruction-mix
-   constants of :class:`CostParams` and priced by the device.
+   constants of :class:`CostParams` (every kernel's texture terms
+   through :func:`price_texture`) and priced by the device.
 
 The split lets pricing-only knobs (the shared kernel's bank scheme and
 STT placement) re-price one memoized measurement.  It is not a
@@ -33,7 +35,6 @@ transaction and bandwidth.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -141,6 +142,9 @@ class TextureTraffic:
     dram_line_requests: int
     dram_instr_rate: float
     lane_l1_hit_rate: float
+    #: Texture line size in bytes (``config.texture_cache.line_bytes``
+    #: of the classifying device): the unit of every line count above.
+    line_bytes: int
     #: Distinct lines touched per instruction regardless of cache state
     #: — the traffic an *uncached* STT placement would pay (used by the
     #: texture-placement ablation).
@@ -148,8 +152,8 @@ class TextureTraffic:
 
     @property
     def dram_bytes(self) -> int:
-        """DRAM fill traffic (32 B texture lines)."""
-        return self.dram_line_requests * 32
+        """DRAM fill traffic: one texture line per DRAM line request."""
+        return self.dram_line_requests * self.line_bytes
 
 
 def backend_footprint_relief(backend_cost, params: CostParams) -> float:
@@ -199,6 +203,47 @@ def backend_compute_cycles(
         )
         return rank + walk
     return 0.0
+
+
+@dataclass(frozen=True)
+class TexturePrice:
+    """The texture terms of one kernel's cost, priced once for every kernel.
+
+    ``hit_cycles`` is the issue cost of the fetch instructions and
+    ``backend_cycles`` a compressed backend's extra ALU and chain walk
+    (:func:`backend_compute_cycles`); ``dependent_cycles``,
+    ``dram_lines`` and ``dram_bytes`` are the mean-lane stall, DRAM
+    line requests and DRAM fill bytes, each scaled by ``relief``
+    (:func:`backend_footprint_relief`).  Each kernel adds these to its
+    own terms in its own order.
+    """
+
+    relief: float
+    hit_cycles: float
+    backend_cycles: float
+    dependent_cycles: float
+    dram_lines: float
+    dram_bytes: float
+
+
+def price_texture(
+    tex: TextureTraffic,
+    backend_cost: BackendCost,
+    config: DeviceConfig,
+    params: CostParams,
+) -> TexturePrice:
+    """Price a run's :class:`TextureTraffic` under its backend's cost."""
+    relief = backend_footprint_relief(backend_cost, params)
+    return TexturePrice(
+        relief=relief,
+        hit_cycles=tex.accesses * config.texture_hit_cycles,
+        backend_cycles=backend_compute_cycles(
+            backend_cost, tex.accesses, config, params
+        ),
+        dependent_cycles=tex.dependent_latency_cycles * relief,
+        dram_lines=tex.dram_line_requests * relief,
+        dram_bytes=tex.dram_bytes * relief,
+    )
 
 
 def hot_line_set_from_counts(
@@ -291,24 +336,33 @@ class TextureLineHistogram:
 #: transients (the flag gather's index cast and the lane masks).
 _CLASSIFY_ROWS = 1 << 14
 
+#: Consecutive kept blocks are merged into one of at least this many
+#: bytes of line ids.  PFAC keeps one small block per thread batch and
+#: depth; scattered over the heap, their pages stayed resident after
+#: the classifier was freed (the paper-scale grid peaked 450 MB
+#: higher), while a merged block is returned whole.
+_MERGE_BYTES = 64 << 20
+
 
 class TextureClassifier:
     """Tile sink: two-level texture accounting in one walk of the trace.
 
-    The AC kernels' one texture sink.  :meth:`on_tile` computes each
-    tile's line ids once and keeps the tile's (step × half-warp) rows,
-    each sorted, with invalid lanes and the last half-warp's missing
-    lanes as -1 — 4 B per trace cell with int32 line ids.  Tiles split
-    the step axis only, so every row is whole in one tile and all
-    row-wise counts are additive.  After the scan, :meth:`ranking`
-    sorts the kept valid line ids into the line histogram,
-    :meth:`hot_sets` fixes both hot sets from that one ranking, and
-    :meth:`classify` gathers each lane's flags (bit 0 L1-hot, bit 1
-    L2-hot, read independently so hot sets need not nest) once; the
-    first occurrence of a line in a sorted row is one distinct line
-    request.  :meth:`finish` runs all three.  The resulting
-    :class:`TextureTraffic` is byte-identical to classifying the whole
-    trace at once.
+    Every GPU kernel's one texture sink.  A half-warp row — one step of
+    ``lanes`` consecutive threads — is one fetch instruction.
+    :meth:`on_tile` (the AC kernels' lockstep tiles) and
+    :meth:`on_lanes` (PFAC's live threads) compute line ids once and
+    keep, per row with at least one valid lane, that row's valid line
+    ids sorted, plus its lane count: 4 B per valid lane with int32 line
+    ids and 1 B per kept row.  Rows with no valid lane are dropped.  A
+    row never straddles two calls, so all row-wise counts are
+    additive.  After the scan, :meth:`ranking` merges each block's
+    sorted line histogram, :meth:`hot_sets` fixes both hot sets from
+    that one ranking, and :meth:`classify` gathers each lane's flags
+    (bit 0 L1-hot, bit 1 L2-hot, read independently so hot sets need
+    not nest) once; the first occurrence of a line in a sorted row is
+    one distinct line request.  :meth:`finish` runs all three.  The
+    resulting :class:`TextureTraffic` is byte-identical to classifying
+    the whole trace at once.
     """
 
     needs_fetched = True
@@ -318,42 +372,90 @@ class TextureClassifier:
         self.n_states = n_states
         self.line_bytes = line_bytes
         self.lanes = lanes
-        #: The kept rows, one ``(steps × half-warps, lanes)`` block per tile.
-        self.rows = []
+        #: ``(ids, counts)`` blocks of whole rows, in call order: the
+        #: kept rows' sorted valid line ids, concatenated, and each
+        #: row's lane count.  Small consecutive blocks are merged.
+        self.blocks = []
+        self._merged = 0  # blocks before this index are not merged again
         self.accesses = 0
         self.total_valid = 0
 
     def on_tile(self, tile) -> None:
-        """Keep one tile's sorted, -1-padded half-warp rows of line ids."""
+        """Keep one tile's (step × half-warp) rows of valid line ids."""
         line_ids = _tile_line_ids(tile, self.line_bytes, self.n_states)
         n_steps, n_threads = line_ids.shape
         width = -(-n_threads // self.lanes) * self.lanes
         rows = np.full((n_steps, width), -1, dtype=line_ids.dtype)
         np.copyto(rows[:, :n_threads], line_ids, where=tile.valid)
         del line_ids
-        rows = rows.reshape(-1, self.lanes)
+        self._keep(rows.reshape(-1, self.lanes))
+
+    def on_lanes(
+        self, fetched: np.ndarray, windows: np.ndarray, threads: np.ndarray
+    ) -> None:
+        """Keep the rows of one step's live lanes.
+
+        Lane ``i`` is thread ``threads[i]`` (ascending) and fetches
+        ``STT[fetched[i]][windows[i]]``; its row is its thread's
+        half-warp, so only the rows holding a live lane are built.
+        """
+        if threads.size == 0:
+            return
+        line_ids = stt_line_ids(
+            fetched, windows, line_bytes=self.line_bytes, n_states=self.n_states
+        )
+        half_warp = threads // self.lanes
+        new_row = np.empty(threads.size, dtype=bool)
+        new_row[0] = True
+        np.not_equal(half_warp[1:], half_warp[:-1], out=new_row[1:])
+        row = np.cumsum(new_row)
+        row -= 1
+        rows = np.full((int(row[-1]) + 1, self.lanes), -1, dtype=line_ids.dtype)
+        rows[row, threads % self.lanes] = line_ids
+        self._keep(rows)
+
+    def _keep(self, rows: np.ndarray) -> None:
+        """Sort -1-padded ``(rows, lanes)`` line ids; keep the valid ones."""
         rows.sort(axis=1)
-        self.rows.append(rows)
-        self.accesses += int(np.count_nonzero(rows[:, -1] >= 0))
-        self.total_valid += int(np.count_nonzero(tile.valid))
+        valid = rows >= 0
+        ids = rows[valid]
+        counts = valid.sum(axis=1, dtype=np.uint8)
+        counts = counts[counts > 0]
+        self.blocks.append((ids, counts))
+        self.accesses += int(counts.size)
+        self.total_valid += int(ids.size)
+        tail = self.blocks[self._merged :]
+        if len(tail) > 1 and sum(b.nbytes for b, _ in tail) >= _MERGE_BYTES:
+            del self.blocks[self._merged :]
+            self.blocks.append(tuple(map(np.concatenate, zip(*tail))))
+            self._merged = len(self.blocks)
 
     def ranking(self):
         """The ``(uniq, counts)`` line histogram of the valid fetches.
 
-        Ascending line ids with int64 counts, from one sort of the kept
-        line ids — the arrays ``np.unique(..., return_counts=True)``
-        returns over the valid trace.
+        Ascending line ids with int64 counts — the arrays
+        ``np.unique(..., return_counts=True)`` returns over the valid
+        trace — merged from one sorted histogram per kept block, so at
+        most one block's ids are copied at a time.
         """
-        ids = np.concatenate([rows.ravel() for rows in self.rows])
-        ids.sort()
-        ids = ids[np.searchsorted(ids, 0) :]  # drop the -1 padding
-        if ids.size == 0:
+        uniq_parts, count_parts = [], []
+        for ids, _ in self.blocks:
+            if ids.size:
+                ids = np.sort(ids)
+                starts = _run_starts(ids)
+                uniq_parts.append(ids[starts])
+                count_parts.append(np.diff(starts, append=ids.size))
+        if not uniq_parts:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        starts = np.flatnonzero(ids[1:] != ids[:-1])
-        starts += 1
-        starts = np.concatenate(([0], starts))
-        counts = np.diff(starts, append=ids.size)
-        return ids[starts].astype(np.int64), counts
+        uniq = np.concatenate(uniq_parts)
+        counts = np.concatenate(count_parts)
+        if len(uniq_parts) > 1:
+            order = np.argsort(uniq, kind="stable")
+            uniq = uniq[order]
+            starts = _run_starts(uniq)
+            uniq = uniq[starts]
+            counts = np.add.reduceat(counts[order], starts)
+        return uniq.astype(np.int64), counts
 
     def hot_sets(self, config: DeviceConfig, params: CostParams):
         """(hot_l1, hot_l2) under the hot-set LRU approximation.
@@ -381,29 +483,33 @@ class TextureClassifier:
         self, hot_l1: np.ndarray, hot_l2: np.ndarray, config: DeviceConfig
     ) -> TextureTraffic:
         """Classify every kept fetch against the given hot sets."""
-        # One slot past the last line: the -1 padding lanes read flag 4.
         flag_lut = np.zeros(
-            _stt_line_id_limit(self.n_states, self.line_bytes) + 1,
-            dtype=np.uint8,
+            _stt_line_id_limit(self.n_states, self.line_bytes), dtype=np.uint8
         )
         flag_lut[hot_l1] |= 1
         flag_lut[hot_l2] |= 2
-        flag_lut[-1] = 4
         l2_lines = dram_lines = total_lines = dram_instr = 0
         n_l2_lanes = n_dram_lanes = 0
-        for rows in self.rows:
-            for r0 in range(0, rows.shape[0], _CLASSIFY_ROWS):
-                block = rows[r0 : r0 + _CLASSIFY_ROWS]
-                first = np.empty(block.shape, dtype=bool)
-                first[:, 0] = block[:, 0] >= 0
-                np.not_equal(block[:, 1:], block[:, :-1], out=first[:, 1:])
-                flags = np.take(flag_lut, block)
+        for ids, counts in self.blocks:
+            ends = np.cumsum(counts, dtype=np.int64)
+            for r0 in range(0, counts.size, _CLASSIFY_ROWS):
+                r1 = min(r0 + _CLASSIFY_ROWS, counts.size)
+                lo = int(ends[r0 - 1]) if r0 else 0
+                lanes = ids[lo : int(ends[r1 - 1])]
+                starts = ends[r0:r1] - counts[r0:r1] - lo
+                first = np.empty(lanes.size, dtype=bool)
+                first[0] = True
+                np.not_equal(lanes[1:], lanes[:-1], out=first[1:])
+                first[starts] = True
+                flags = np.take(flag_lut, lanes)
                 l2_serviced = flags == 2  # L2-hot, not L1-hot
                 dram = flags < 2  # not L2-hot (hot sets need not nest)
                 total_lines += int(np.count_nonzero(first))
                 l2_lines += int(np.count_nonzero(first & l2_serviced))
                 dram_lines += int(np.count_nonzero(first & dram))
-                dram_instr += int(np.count_nonzero(dram.any(axis=1)))
+                dram_instr += int(
+                    np.count_nonzero(np.logical_or.reduceat(dram, starts))
+                )
                 n_l2_lanes += int(np.count_nonzero(l2_serviced))
                 n_dram_lanes += int(np.count_nonzero(dram))
         # Mean-lane severity: each lane contributes its own latency; the
@@ -428,6 +534,7 @@ class TextureClassifier:
                 if self.total_valid
                 else 1.0
             ),
+            line_bytes=self.line_bytes,
             total_line_requests=total_lines,
         )
 
@@ -437,6 +544,13 @@ class TextureClassifier:
         """The scan's :class:`TextureTraffic`: rank, fix the hot sets,
         classify."""
         return self.classify(*self.hot_sets(config, params), config)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of each run's first element in a sorted non-empty array."""
+    starts = np.flatnonzero(values[1:] != values[:-1])
+    starts += 1
+    return np.concatenate(([0], starts))
 
 
 @dataclass
@@ -602,17 +716,12 @@ def scan_segment(
             gather_table=table, sinks=sinks,
         )
         sp.set(raw_hits=outcome.raw_hits, matches=len(outcome.matches))
-    after = cost_of(dfa, table, backend)
     seg = ScanSegment(
         matches=outcome.matches,
         raw_hits=outcome.raw_hits,
         bytes_scanned=outcome.bytes_scanned,
         tex=texture.finish(config, params),
-        backend_cost=dataclasses.replace(
-            after,
-            lookups=after.lookups - before.lookups,
-            chain_steps=after.chain_steps - before.chain_steps,
-        ),
+        backend_cost=cost_of(dfa, table, backend).since(before),
         extra=None if extra_sink is None else extra_sink.finish(),
     )
     segment_put(key, seg)
@@ -640,12 +749,11 @@ def run_on_device(
     copy, then ``body(staged, device, tracer, gather_table)`` — the
     kernel's measure + price, where ``gather_table`` is that verified
     copy — inside a ``kernel_body`` span that carries the matches,
-    modeled seconds, regime and counters.  The AC kernels scan through
-    ``gather_table``, so each launch verifies exactly the bytes it
-    reads; PFAC ignores it and reads its own per-launch trie table,
-    which no device check covers.  Win or lose, every byte allocated
-    here is released, so repeated runs on a long-lived device never
-    exhaust the simulated global memory.
+    modeled seconds, regime and counters.  Every kernel gathers through
+    ``gather_table`` — the AC kernels' scan and PFAC's failureless walk
+    alike — so each launch verifies exactly the bytes it reads.  Win
+    or lose, every byte allocated here is released, so repeated runs on
+    a long-lived device never exhaust the simulated global memory.
 
     ``tracer`` defaults to the device's, else the no-op tracer; it
     records ``copy_input``/``bind_texture``/``verify_texture``/

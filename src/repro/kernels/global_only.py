@@ -40,10 +40,9 @@ from repro.kernels.base import (
     CostParams,
     KernelResult,
     ScanSegment,
-    backend_compute_cycles,
-    backend_footprint_relief,
     grouped_thread_addresses,
     launch_for,
+    price_texture,
     run_on_device,
     scan_segment,
 )
@@ -174,16 +173,14 @@ def price_global(
         raw_match_writes=seg.raw_hits,
     )
 
+    tex_price = price_texture(tex, seg.backend_cost, config, params)
     cpwi = config.cycles_per_warp_instruction
     compute = (
         warp_iterations * params.instr_per_iter_global * cpwi
-        + tex.accesses * config.texture_hit_cycles
+        + tex_price.hit_cycles
         + seg.raw_hits / config.warp_size * params.instr_per_match_write * cpwi
     )
-    compute += backend_compute_cycles(
-        seg.backend_cost, tex.accesses, config, params
-    )
-    relief = backend_footprint_relief(seg.backend_cost, params)
+    compute += tex_price.backend_cycles
 
     # Each input-load instruction stalls its warp for a full DRAM
     # round-trip (global loads are uncached on the GTX 285).
@@ -199,16 +196,12 @@ def price_global(
         counters=counters,
         occupancy=occupancy,
         compute_cycles_total=compute,
-        dependent_latency_cycles=(
-            input_dependent + tex.dependent_latency_cycles * relief
-        ),
+        dependent_latency_cycles=input_dependent + tex_price.dependent_cycles,
         mem_requests_pipelined=(
-            meas.input_summary.transactions
-            + tex.dram_line_requests * relief
+            meas.input_summary.transactions + tex_price.dram_lines
         ),
         mem_bytes_total=(
-            (meas.input_summary.bus_bytes + tex.dram_bytes * relief)
-            / scatter
+            (meas.input_summary.bus_bytes + tex_price.dram_bytes) / scatter
             + match_bytes
         ),
         input_bytes=meas.input_bytes,

@@ -59,9 +59,8 @@ from repro.kernels.base import (
     CostParams,
     KernelResult,
     ScanSegment,
-    backend_compute_cycles,
-    backend_footprint_relief,
     launch_for,
+    price_texture,
     run_on_device,
     scan_segment,
 )
@@ -250,6 +249,7 @@ def price_shared(
         raw_match_writes=seg.raw_hits,
     )
 
+    tex_price = price_texture(tex, seg.backend_cost, config, params)
     cpwi = config.cycles_per_warp_instruction
     shared_cycles = (
         (meas.staging_stores.accesses + st_excess + ld_accesses + ld_excess_eff)
@@ -260,14 +260,11 @@ def price_shared(
         warp_iterations * params.instr_per_iter_shared * cpwi
         + shared_cycles
         + meas.staging_global.accesses * nb * params.instr_per_staged_word * cpwi
-        + tex.accesses * config.texture_hit_cycles
+        + tex_price.hit_cycles
         + seg.raw_hits / config.warp_size * params.instr_per_match_write * cpwi
         + nb * params.sync_cycles_per_block
     )
-    compute += backend_compute_cycles(
-        seg.backend_cost, tex.accesses, config, params
-    )
-    relief = backend_footprint_relief(seg.backend_cost, params)
+    compute += tex_price.backend_cycles
 
     match_bytes = seg.raw_hits * 8
     staging_txns = meas.staging_global.transactions * nb
@@ -278,12 +275,12 @@ def price_shared(
         # cache — every fetch instruction stalls a DRAM round trip and
         # every distinct line is a scattered transaction.
         stt_dependent = tex.accesses * config.global_latency_cycles
-        stt_lines = tex.total_line_requests * relief
+        stt_lines = tex.total_line_requests * tex_price.relief
         stt_bus = stt_lines * config.texture_cache.line_bytes / scatter
     else:
-        stt_dependent = tex.dependent_latency_cycles * relief
-        stt_lines = tex.dram_line_requests * relief
-        stt_bus = tex.dram_bytes * relief / scatter
+        stt_dependent = tex_price.dependent_cycles
+        stt_lines = tex_price.dram_lines
+        stt_bus = tex_price.dram_bytes / scatter
     if meas.cooperative_staging:
         dependent = stt_dependent
         staging_bus = counters.global_bytes  # sequential stream: peak BW

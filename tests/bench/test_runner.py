@@ -92,6 +92,27 @@ class TestRunCell:
         cell = runner.run_cell("50KB", 100, kernels=("pfac",))
         assert cell.kernels["pfac"].seconds > 0
 
+    def test_kernels_disagreeing_on_matches_raise(self, monkeypatch):
+        """A cell fails when its GPU kernels find different match counts."""
+        import dataclasses
+
+        import repro.bench.runner as runner_mod
+        from repro.core.match import MatchResult
+
+        real = runner_mod.run_pfac_kernel
+
+        def drops_one_match(*args, **kwargs):
+            result = real(*args, **kwargs)
+            m = result.matches
+            return dataclasses.replace(
+                result, matches=MatchResult(m.ends[1:], m.pattern_ids[1:])
+            )
+
+        monkeypatch.setattr(runner_mod, "run_pfac_kernel", drops_one_match)
+        fresh = ExperimentRunner(scale=0.001, seed=99)
+        with pytest.raises(ExperimentError, match="disagree on the match count"):
+            fresh.run_cell("50KB", 100, kernels=("shared", "pfac"))
+
     def test_grid_order(self, runner):
         cells = runner.run_grid(["50KB", "1MB"], [100], kernels=("shared",))
         assert [(c.size_label, c.n_patterns) for c in cells] == [

@@ -75,10 +75,12 @@ class TestCompactSTT:
         assert dfa.compact_stt() is dfa.compact_stt()
 
     def test_compact_columns_other_value(self):
-        dfa = build([b"ab"])
+        # Every state sends a byte no pattern uses to the root.
+        dfa = build([b"ab", b"ba"])
         cmap = ByteClassMap.from_patterns(dfa.patterns)
-        table = compact_columns(dfa.stt.next_states, cmap, -7)
-        assert np.all(table[:, 0] == -7)
+        table = compact_columns(dfa.stt.next_states, cmap)
+        assert np.all(table[:, 0] == 0)
+        assert np.array_equal(table[:, 0], dfa.stt.next_states[:, ord("z")])
 
     def test_empty_pattern_set_rejected_like_dense(self):
         # Both paths refuse an empty dictionary at the same place.

@@ -191,3 +191,29 @@ class TestExhaustiveEquivalence:
         h.update(dfa.out_offsets.astype("<i8").tobytes())
         h.update(dfa.out_ids.astype("<i8").tobytes())
         assert h.hexdigest() == GOLDEN_1K_SHA256
+
+
+class TestStateDepths:
+    @pytest.mark.parametrize(
+        "fixture", ["paper_patterns", "magazine_1k", "snort_2k"]
+    )
+    def test_depths_are_trie_depths_however_the_dfa_is_made(
+        self, fixture, request
+    ):
+        import io
+
+        from repro.core.serialization import load_dfa, save_dfa
+
+        ps = request.getfixturevalue(fixture)
+        ac = AhoCorasickAutomaton.build(ps)
+        want = np.zeros(ac.n_states, dtype=np.int64)
+        for state in [ROOT, *ac.trie.bfs_order()]:
+            for child in ac.trie.children[state].values():
+                want[child] = want[state] + 1
+        built = DFA.build(ps)
+        buf = io.BytesIO()
+        save_dfa(built, buf)
+        buf.seek(0)
+        for dfa in (built, DFA.from_automaton(ac), load_dfa(buf)):
+            np.testing.assert_array_equal(dfa.state_depths(), want)
+            assert dfa.state_depths() is dfa.state_depths()

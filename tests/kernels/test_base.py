@@ -1,5 +1,6 @@
 """Direct unit tests for kernels.base (scan segment, helpers)."""
 
+import dataclasses
 from collections import Counter
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from repro.core import DFA, PatternSet, encode, plan_chunks
 from repro.errors import MemoryModelError
 from repro.gpu import gtx285
+from repro.gpu.config import TextureCacheConfig
 from repro.kernels.base import (
     CostParams,
     TextureClassifier,
@@ -149,6 +151,7 @@ def reference_traffic(tiles, hot_l1, hot_l2, config) -> TextureTraffic:
         lane_l1_hit_rate=(
             1.0 - (l2_lanes + dram_lanes) / valid_lanes if valid_lanes else 1.0
         ),
+        line_bytes=LINE_BYTES,
         total_line_requests=total_lines,
     )
 
@@ -237,6 +240,72 @@ class TestTextureSinksDifferential:
         assert texture.classify(hot_l1, hot_l2, config) == want
         if hot_kind == "histogram":
             assert texture.finish(config, params) == want
+
+
+class TestClassifierInputs:
+    @given(synthetic_tiles(), st.sampled_from([0.8, 0.004]))
+    def test_live_lanes_classify_as_their_tile(self, case, efficiency):
+        """Sparse lanes fed by thread id give the traffic of the tile
+        in which only those lanes are valid."""
+        n_states, tiles = case
+        config = gtx285()
+        params = CostParams(tex_capacity_efficiency=efficiency)
+        by_tile = TextureClassifier(n_states, LINE_BYTES)
+        by_lane = TextureClassifier(n_states, LINE_BYTES)
+        for tile in tiles:
+            by_tile.on_tile(tile)
+            for j in range(tile.valid.shape[0]):
+                threads = np.flatnonzero(tile.valid[j])
+                by_lane.on_lanes(
+                    tile.fetched[j, threads], tile.windows[j, threads], threads
+                )
+        assert by_lane.finish(config, params) == by_tile.finish(config, params)
+
+    def test_merged_blocks_classify_alike(self, monkeypatch):
+        import repro.kernels.base as base
+
+        rng = np.random.default_rng(5)
+        shape = (3, 37)
+        tiles = [
+            SimpleNamespace(
+                fetched=rng.integers(0, 300, shape).astype(np.uint16),
+                windows=rng.integers(0, 256, shape).astype(np.uint8),
+                valid=rng.random(shape) < 0.7,
+            )
+            for _ in range(20)
+        ]
+        traffic = []
+        for merge_bytes in (base._MERGE_BYTES, 100):
+            monkeypatch.setattr(base, "_MERGE_BYTES", merge_bytes)
+            texture = TextureClassifier(300, LINE_BYTES)
+            for tile in tiles:
+                texture.on_tile(tile)
+            traffic.append(
+                (len(texture.blocks), texture.finish(gtx285(), CostParams()))
+            )
+        (kept, whole), (merged, parts) = traffic
+        assert merged < kept
+        assert parts == whole
+
+    def test_dram_bytes_use_the_classifier_line_size(self):
+        """A 64 B-line device prices each DRAM line request at 64 B."""
+        config = dataclasses.replace(
+            gtx285(), texture_cache=TextureCacheConfig(line_bytes=64)
+        )
+        rng = np.random.default_rng(6)
+        shape = (4, 48)
+        texture = TextureClassifier(2000, 64)
+        texture.on_tile(
+            SimpleNamespace(
+                fetched=rng.integers(0, 2000, shape).astype(np.uint16),
+                windows=rng.integers(0, 256, shape).astype(np.uint8),
+                valid=np.ones(shape, dtype=bool),
+            )
+        )
+        empty = np.empty(0, dtype=np.int64)
+        traffic = texture.classify(empty, empty, config)
+        assert traffic.dram_line_requests > 0
+        assert traffic.dram_bytes == traffic.dram_line_requests * 64
 
 
 class TestHelpers:

@@ -36,13 +36,16 @@ def fresh_segcache():
 
 @pytest.mark.parametrize("name", list(KERNELS))
 def test_default_and_explicit_compact_share_one_segment(english_dfa, name):
+    """The default backend is ``compact``: the AC kernels serve the
+    explicit run from the default run's segment, and PFAC (which keeps
+    no segment) returns the same result."""
     run = KERNELS[name]
     first = run(english_dfa, TEXT, Device())
     before = segcache.CACHE.stats()
     second = run(english_dfa, TEXT, Device(), stt_backend="compact")
     after = segcache.CACHE.stats()
     assert after["entries"] == before["entries"]
-    assert after["hits"] == before["hits"] + 1
+    assert after["hits"] == before["hits"] + (name != "pfac")
     assert second.matches == first.matches
     assert second.counters == first.counters
     assert second.timing == first.timing

@@ -7,29 +7,39 @@ from repro.core import DFA, PatternSet, naive_find_all
 from repro.errors import LaunchError
 from repro.gpu import Device
 from repro.kernels import run_pfac_kernel
-from repro.kernels.pfac import DEAD, PfacAutomaton
+
+
+def own_outputs(dfa, state):
+    """The patterns a PFAC thread entering *state* reports."""
+    depth = dfa.state_depths()[state]
+    return [p for p in dfa.outputs_of(state).tolist()
+            if dfa.pattern_lengths[p] == depth]
 
 
 class TestPfacAutomaton:
-    def test_table_has_dead_defaults(self, paper_patterns):
-        pfac = PfacAutomaton.build(paper_patterns)
-        # Root has edges only on 'h' and 's'.
-        row = pfac.table[0]
-        assert row[ord("h")] >= 0 and row[ord("s")] >= 0
-        assert row[ord("z")] == DEAD
+    """The failureless trie PFAC walks, read off the DFA: an edge is a
+    transition one depth deeper, and a state reports its own pattern."""
 
-    def test_outputs_are_exact_terminals_only(self, paper_patterns):
-        pfac = PfacAutomaton.build(paper_patterns)
+    def test_table_has_dead_defaults(self, paper_dfa):
+        depths = paper_dfa.state_depths()
+        root_edges = [
+            b for b in range(256) if depths[paper_dfa.delta(0, b)] == 1
+        ]
+        # Root has edges only on 'h' and 's'; every other byte kills
+        # the thread.
+        assert root_edges == [ord("h"), ord("s")]
+
+    def test_outputs_are_exact_terminals_only(self, paper_dfa):
         # "she"'s terminal state emits only she (id 1), not he: in PFAC
         # the "he" occurrence belongs to the thread starting one later.
         s = 0
         for ch in b"she":
-            s = int(pfac.table[s, ch])
-        ids = pfac.out_ids[pfac.out_offsets[s] : pfac.out_offsets[s + 1]]
-        assert ids.tolist() == [1]
+            s = paper_dfa.delta(s, ch)
+        assert paper_dfa.outputs_of(s).tolist() == [1, 0]
+        assert own_outputs(paper_dfa, s) == [1]
 
-    def test_max_depth(self, paper_patterns):
-        assert PfacAutomaton.build(paper_patterns).max_depth == 4
+    def test_max_depth(self, paper_dfa):
+        assert int(paper_dfa.state_depths().max()) == 4
 
 
 class TestCorrectness:

@@ -1,10 +1,12 @@
-"""The AC kernels' scan segment: one walk of the DFA, pinned counters.
+"""The kernels' single walks of the DFA, and their pinned counters.
 
 ``golden_counters.json`` holds the event counters, raw hits, match
 counts and modeled seconds of the shared and global kernels as the
 two-walk texture accounting (a histogram pass, then a replayed
 classifier pass) computed them; the one-walk accounting must
-reproduce every value.
+reproduce every value.  Its ``*/pfac`` entries pin PFAC's counters,
+match count and modeled seconds as its single walk over the AC
+gather table first computed them.
 """
 
 import dataclasses
@@ -17,7 +19,12 @@ import pytest
 from repro.core import DFA, PatternSet, plan_chunks, required_overlap
 from repro.core.tiled import GatherKernel
 from repro.gpu import Device, gtx285
-from repro.kernels import run_global_kernel, run_shared_kernel, segcache
+from repro.kernels import (
+    run_global_kernel,
+    run_pfac_kernel,
+    run_shared_kernel,
+    segcache,
+)
 from repro.kernels.global_only import measure_global
 from repro.kernels.shared_mem import measure_shared
 from repro.workload import DatasetFactory
@@ -65,6 +72,38 @@ class TestOneWalk:
             run(english_dfa, TEXT, Device(), tile_len=tile_len, **kwargs)
             assert len(steps) == scans * window
 
+    def test_pfac_steps_each_live_batch_depth_once(self, magazine, monkeypatch):
+        """One gather step per (thread batch, depth) with a live lane."""
+        import repro.kernels.pfac as pfac_mod
+
+        dfa, data = magazine
+        batch = 1 << 14
+        monkeypatch.setattr(pfac_mod, "BATCH_THREADS", batch)
+        text = data.tobytes()
+        prefixes = {p[:k] for p in dfa.patterns.as_bytes_list()
+                    for k in range(1, len(p) + 1)}
+        want = 0
+        for start in range(0, len(text), batch):
+            for d in range(dfa.patterns.max_length):
+                stop = min(start + batch, len(text) - d)
+                if d == 0:
+                    live = stop > start
+                else:
+                    live = any(
+                        text[i : i + d] in prefixes for i in range(start, stop)
+                    )
+                want += live
+        steps = []
+        real = GatherKernel.step_fused
+
+        def counting(self, *args):
+            steps.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(GatherKernel, "step_fused", counting)
+        run_pfac_kernel(dfa, data, Device())
+        assert len(steps) == want
+
 
 @pytest.fixture(scope="module")
 def magazine():
@@ -100,5 +139,16 @@ class TestGoldenCounters:
         want = GOLDEN[f"{case}/{kernel}/{tile_len}"]
         assert dataclasses.asdict(result.counters) == want["counters"]
         assert meas.seg.raw_hits == want["raw_hits"]
+        assert len(result.matches) == want["matches"]
+        assert repr(result.seconds) == want["seconds"]
+
+    @pytest.mark.parametrize("case", ["magazine", "nul"])
+    def test_pfac_counters(self, request, case):
+        dfa, data = request.getfixturevalue(
+            "magazine" if case == "magazine" else "nul_dictionary"
+        )
+        result = run_pfac_kernel(dfa, data, Device())
+        want = GOLDEN[f"{case}/pfac"]
+        assert dataclasses.asdict(result.counters) == want["counters"]
         assert len(result.matches) == want["matches"]
         assert repr(result.seconds) == want["seconds"]

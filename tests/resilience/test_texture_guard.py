@@ -1,11 +1,11 @@
 """The per-launch texture check covers exactly the bytes the scan reads.
 
 A device binding holds its own copy of the gather arrays of one STT
-backend, with one CRC32 per 64 KiB block, and the AC kernels gather
-through that copy.  So a bit flipped in the copy after binding must
-either be caught by ``Device.verify_texture`` or reach the scan: these
-tests fail if the check stops covering what the scan reads, or if the
-scan stops reading what the check covers.
+backend, with one CRC32 per 64 KiB block, and every kernel — the AC
+kernels and PFAC — gathers through that copy.  So a bit flipped in the
+copy after binding must either be caught by ``Device.verify_texture``
+or reach the scan: these tests fail if the check stops covering what
+the scan reads, or if the scan stops reading what the check covers.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core.serial import match_serial
 from repro.errors import IntegrityError
 from repro.gpu.device import Device
 from repro.kernels import segcache
+from repro.kernels.pfac import run_pfac_kernel
 from repro.kernels.shared_mem import run_shared_kernel
 from repro.resilience import FaultKind
 from repro.resilience.campaign import (
@@ -125,6 +126,30 @@ class TestEveryBackend:
         got = run_shared_kernel(dfa, TEXT, device, stt_backend=backend)
         assert got.matches != oracle
         assert len(got.matches) == 0
+
+    @pytest.mark.parametrize("target", ["transitions", "flags"])
+    def test_pfac_reads_the_bound_copy(self, dfa, backend, target, check_off):
+        oracle = match_serial(dfa, TEXT)
+        device, arrays = bound(dfa, backend)
+        names = TRANSITIONS[backend] if target == "transitions" else (FLAGS[backend],)
+        for name in names:
+            arrays[name].data[...] = 0
+        got = run_pfac_kernel(dfa, TEXT, device, stt_backend=backend)
+        assert got.matches != oracle
+        assert len(got.matches) == 0
+
+    def test_pfac_launch_flags_a_flip_in_any_bound_array(self, dfa, backend):
+        device, arrays = bound(dfa, backend)
+        for name, array in arrays.items():
+            if not array.data.nbytes:
+                continue
+            byte = array.data.nbytes - 1
+            flip_bit(array.data, byte)
+            with pytest.raises(IntegrityError, match=rf"CRC32.*\b{name} block 0 \("):
+                run_pfac_kernel(dfa, TEXT, device, stt_backend=backend)
+            flip_bit(array.data, byte)
+        got = run_pfac_kernel(dfa, TEXT, device, stt_backend=backend)
+        assert got.matches == match_serial(dfa, TEXT)
 
     def test_launch_under_another_backend_is_refused(self, dfa, backend):
         from repro.errors import LaunchError
