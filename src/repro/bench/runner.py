@@ -40,8 +40,9 @@ from repro.gpu.device import Device
 from repro.kernels.base import CostParams, KernelResult
 from repro.kernels.global_only import run_global_kernel
 from repro.kernels.pfac import run_pfac_kernel
-from repro.kernels.shared_mem import run_shared_kernel
+from repro.kernels.shared_mem import run_shared_variants
 from repro.obs import NULL_TRACER
+from repro.obs.profiler import build_report
 from repro.workload.datasets import DatasetFactory, Workload
 
 #: Kernel registry names accepted by run_cell.
@@ -56,6 +57,17 @@ KERNEL_NAMES = (
     "shared_global_stt",
     "pfac",
 )
+
+#: The shared kernel's bench variants, each a ``(scheme,
+#: stt_in_texture)`` pair.  They differ only in staging templates and
+#: pricing, so a cell prices all five from one scan.
+SHARED_VARIANTS = {
+    "shared": ("diagonal", True),
+    "shared_coalesce": ("coalesce_only", True),
+    "shared_naive": ("naive", True),
+    "shared_transposed": ("transposed", True),
+    "shared_global_stt": ("diagonal", False),
+}
 
 
 @dataclass(frozen=True)
@@ -320,8 +332,8 @@ class ExperimentRunner:
     included, flagged — is recorded, which is how ``BENCH_*.json``
     trajectories are produced by the harness instead of by hand.
     ``tracer`` records a ``run_cell`` span per cell.  ``profiler``
-    (a :class:`~repro.obs.KernelProfiler`) receives every freshly
-    simulated kernel result as a validated per-launch
+    (a :class:`~repro.obs.KernelProfiler`) receives, for every freshly
+    computed cell, each requested kernel's validated per-launch
     :class:`~repro.obs.ProfileReport`.
     """
 
@@ -392,14 +404,19 @@ class ExperimentRunner:
         self.resume = resume
         self.collector = collector
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Optional :class:`~repro.obs.KernelProfiler`: every *fresh*
-        #: kernel result is observed at sim scale (cache replays are
-        #: not re-fed — the reports would be byte-identical).
+        #: Optional :class:`~repro.obs.KernelProfiler`: the requested
+        #: kernels of every *fresh* cell are observed at sim scale
+        #: (cell-cache replays are not re-fed — the reports would be
+        #: byte-identical).  Reports are built when a kernel's launch
+        #: family is priced, so attach the profiler at construction.
         self.profiler = profiler
         if collector is not None:
             collector.on_runner(self.config_dict())
         self._dfa_cache: Dict[int, DFA] = {}
         self._cell_cache: Dict[tuple, CellResult] = {}
+        #: (cell, launch family, configuration) → every kernel of the
+        #: family priced from that launch (see :meth:`_priced_family`).
+        self._priced: Dict[tuple, Dict[str, tuple]] = {}
 
     def config_dict(self) -> Dict[str, object]:
         """The tunable configuration, export form (bench documents)."""
@@ -558,11 +575,6 @@ class ExperimentRunner:
             )
         return self._dfa_cache[n_patterns]
 
-    def _fresh_device(self, dfa: DFA) -> Device:
-        dev = Device(self.device_config)
-        dev.bind_texture(dfa, self.stt_backend)
-        return dev
-
     def _serial(self, dfa: DFA, cell: Workload) -> SerialCost:
         from repro.kernels.base import TextureLineHistogram
 
@@ -573,7 +585,9 @@ class ExperimentRunner:
             uniq, counts, cell.paper_bytes, self.cpu
         )
 
-    def _scaled(self, result: KernelResult, cell: Workload) -> ScaledKernel:
+    def _scaled(
+        self, result: KernelResult, cell: Workload, name: str
+    ) -> ScaledKernel:
         factor = cell.paper_bytes / cell.sim_bytes
         body_multiplier = 1.0
         if self.wave_correction:
@@ -597,12 +611,8 @@ class ExperimentRunner:
             cell.paper_bytes,
             body_multiplier=body_multiplier,
         )
-        if self.profiler is not None:
-            self.profiler.observe(result)
         return ScaledKernel(
-            name=result.name if result.scheme in (None, "diagonal") else (
-                f"{result.name}[{result.scheme}]"
-            ),
+            name=name,
             seconds=seconds,
             gbps=gbps,
             regime=regime,
@@ -612,6 +622,52 @@ class ExperimentRunner:
             matches=len(result.matches),
             counters=counter_summary(result),
         )
+
+    def _priced_family(
+        self, family: str, size_label: str, n_patterns: int, cell: Workload,
+        dfa: DFA,
+    ) -> Dict[str, tuple]:
+        """Every kernel of a launch family on one cell, from one launch.
+
+        ``family`` is ``global``, ``pfac`` or ``shared``; the shared
+        family is the five :data:`SHARED_VARIANTS`, priced from one
+        scan on one device.  Each kernel maps to its paper-scale
+        :class:`ScaledKernel` and, when a profiler is attached, its
+        :class:`~repro.obs.ProfileReport`.  Both are small and hold no
+        match array, and they are kept per (cell, family,
+        configuration) for the runner's life, so a later figure that
+        needs the same cell neither rescans nor re-prices it.
+        """
+        key = (size_label, n_patterns, family, self._config_key())
+        if key in self._priced:
+            return self._priced[key]
+        device = Device(self.device_config)
+        device.bind_texture(dfa, self.stt_backend)
+        common = dict(params=self.params, stt_backend=self.stt_backend)
+        if family == "shared":
+            results = run_shared_variants(
+                dfa, cell.data, device, variants=SHARED_VARIANTS,
+                threads_per_block=self.shared_threads_per_block,
+                chunk_bytes=self.shared_chunk_bytes, tile_len=self.tile_len,
+                **common,
+            )
+        elif family == "global":
+            r = run_global_kernel(
+                dfa, cell.data, device, chunk_len=self.global_chunk_len,
+                tile_len=self.tile_len, **common,
+            )
+            results = {"global": r}
+        else:
+            results = {"pfac": run_pfac_kernel(dfa, cell.data, device, **common)}
+        priced = self._priced[key] = {
+            name: (
+                self._scaled(r, cell, name if family == "shared" else r.name),
+                None if self.profiler is None
+                else build_report(r, self.profiler.config),
+            )
+            for name, r in results.items()
+        }
+        return priced
 
     # -- cells ---------------------------------------------------------------
     def run_cell(
@@ -681,64 +737,15 @@ class ExperimentRunner:
             out.serial_mt = multicore_cost(
                 out.serial, self.cpu, n_cores=self.mt_workers
             )
-        if "global" in kernels:
-            r = run_global_kernel(
-                dfa,
-                cell.data,
-                self._fresh_device(dfa),
-                chunk_len=self.global_chunk_len,
-                params=self.params,
-                tile_len=self.tile_len,
-                stt_backend=self.stt_backend,
-            )
-            out.kernels["global"] = self._scaled(r, cell)
-        shared_variants = {
-            "shared": "diagonal",
-            "shared_coalesce": "coalesce_only",
-            "shared_naive": "naive",
-            "shared_transposed": "transposed",
-        }
-        for kname, scheme in shared_variants.items():
-            if kname in kernels:
-                r = run_shared_kernel(
-                    dfa,
-                    cell.data,
-                    self._fresh_device(dfa),
-                    scheme=scheme,
-                    threads_per_block=self.shared_threads_per_block,
-                    chunk_bytes=self.shared_chunk_bytes,
-                    params=self.params,
-                    tile_len=self.tile_len,
-                    stt_backend=self.stt_backend,
-                )
-                sk = self._scaled(r, cell)
-                out.kernels[kname] = ScaledKernel(**{**sk.__dict__, "name": kname})
-        if "shared_global_stt" in kernels:
-            r = run_shared_kernel(
-                dfa,
-                cell.data,
-                self._fresh_device(dfa),
-                scheme="diagonal",
-                threads_per_block=self.shared_threads_per_block,
-                chunk_bytes=self.shared_chunk_bytes,
-                params=self.params,
-                stt_in_texture=False,
-                tile_len=self.tile_len,
-                stt_backend=self.stt_backend,
-            )
-            sk = self._scaled(r, cell)
-            out.kernels["shared_global_stt"] = ScaledKernel(
-                **{**sk.__dict__, "name": "shared_global_stt"}
-            )
-        if "pfac" in kernels:
-            r = run_pfac_kernel(
-                dfa,
-                cell.data,
-                self._fresh_device(dfa),
-                params=self.params,
-                stt_backend=self.stt_backend,
-            )
-            out.kernels["pfac"] = self._scaled(r, cell)
+        for name in ("global", *SHARED_VARIANTS, "pfac"):
+            if name in kernels:
+                family = name if name in ("global", "pfac") else "shared"
+                scaled, report = self._priced_family(
+                    family, size_label, n_patterns, cell, dfa
+                )[name]
+                if report is not None:
+                    self.profiler.reports.append(report)
+                out.kernels[name] = scaled
         counts = {name: k.matches for name, k in out.kernels.items()}
         if len(set(counts.values())) > 1:
             raise ExperimentError(

@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.alphabet import STATE_DTYPE
-from repro.core.chunking import ChunkPlan, ownership_mask, plan_chunks, required_overlap
+from repro.core.chunking import ChunkPlan, plan_chunks, required_overlap
 from repro.core.dfa import DFA
 from repro.core.match import MatchResult
 from repro.core.trie import ROOT
@@ -597,18 +597,28 @@ def scan_tiled(
         if flat.size:
             states = np.take(tile.states_after, flat)
             steps, threads = np.divmod(flat, plan.n_chunks)
-            ends = plan.starts[threads] + steps
+            ends = plan.starts[threads]
+            ends += steps
             ends += j0
-            del flat, steps
+            # Only overlap rows can hold an output that starts past its
+            # lane's chunk: a lane started at the root is at trie depth
+            # <= j + 1 after step j, so nothing it reports starts before
+            # its chunk (lane 0's carried state has no lower bound), and
+            # hits past the input are cleared above.  Row j >= chunk_len
+            # owns exactly the outputs longer than j + 1 - chunk_len.
+            # Rows ascend in flat order, so the overlap rows are a suffix.
+            first = int(np.searchsorted(steps, plan.chunk_len - j0))
+            del flat, threads
             source, pids = dfa.expand_outputs(states)
             del states
             ends = ends[source]
-            threads = threads[source]
-            del source
-            own = ownership_mask(plan, threads, ends, dfa.pattern_lengths[pids])
-            ends_parts.append(ends[own])
-            pids_parts.append(pids[own])
-            del ends, pids, threads, own
+            cut = int(np.searchsorted(source, first))
+            tail = steps[source[cut:]]
+            tail += j0 + 1 - plan.chunk_len
+            own = dfa.pattern_lengths[pids[cut:]] > tail
+            ends_parts += [ends[:cut], ends[cut:][own]]
+            pids_parts += [pids[:cut], pids[cut:][own]]
+            del ends, pids, steps, source, tail, own
 
         for sink in sinks:
             sink.on_tile(tile)

@@ -8,19 +8,18 @@ release.  Inside the launch each kernel runs two decoupled passes:
 1. **measure** — the lockstep DFA engine produces the exact match set
    plus every countable memory event (transactions, bank-conflict
    degrees, two-level texture traffic).  For the AC kernels this is
-   :func:`scan_segment`, memoized by content key
-   (:mod:`repro.kernels.segcache`); PFAC's single walk feeds the same
-   :class:`TextureClassifier` and is not memoized;
+   :func:`scan_segment`; PFAC's single walk feeds the same
+   :class:`TextureClassifier`.  Nothing is kept after the launch: a
+   measurement lives as long as the result its caller holds;
 2. **price** — the measured events are assembled into a
    :class:`~repro.gpu.latency.KernelCost` using the instruction-mix
    constants of :class:`CostParams` (every kernel's texture terms
    through :func:`price_texture`) and priced by the device.
 
 The split lets pricing-only knobs (the shared kernel's bank scheme and
-STT placement) re-price one memoized measurement.  It is not a
-calibration seam: hot-set sizing reads
-``CostParams.tex_capacity_efficiency``, so segment keys include
-``repr(CostParams)`` and new constants re-run the functional pass.
+STT placement) price one measurement several ways inside one launch
+(:func:`repro.kernels.shared_mem.run_shared_variants`, which the bench
+runner uses for a cell's shared variants).
 
 Texture model (paper Section IV-B-2, plus the GT200's real hierarchy):
 each SM has a small L1 texture cache and the device shares a ~256 KB
@@ -52,7 +51,6 @@ from repro.gpu.counters import EventCounters, TimingBreakdown
 from repro.gpu.device import Device
 from repro.gpu.geometry import LaunchConfig
 from repro.gpu.texture import stt_line_ids
-from repro.kernels.segcache import segment_get, segment_key, segment_put
 from repro.obs import coalesce
 
 
@@ -627,10 +625,12 @@ def launch_for(
 
 @dataclass(frozen=True)
 class ScanSegment:
-    """The memoized functional pass of an AC kernel: everything but price.
+    """The functional pass of an AC kernel launch: everything but price.
 
-    ``extra`` holds the finished result of the kernel's extra tile
-    sink (the global kernel's input-load coalescing summary), or None.
+    Built once per launch by :func:`scan_segment` and held only by the
+    measurement that prices it.  ``extra`` holds the finished result of
+    the kernel's extra tile sink (the global kernel's input-load
+    coalescing summary), or None.
     """
 
     matches: MatchResult
@@ -642,7 +642,6 @@ class ScanSegment:
 
 
 def scan_segment(
-    kind: str,
     dfa: DFA,
     arr: np.ndarray,
     plan: ChunkPlan,
@@ -655,7 +654,7 @@ def scan_segment(
     extra_sink=None,
     gather_table=None,
 ) -> ScanSegment:
-    """Tiled scan plus texture accounting in one walk, memoized by content.
+    """Tiled scan plus texture accounting in one walk.
 
     One :func:`~repro.core.tiled.scan_tiled` run fuses match
     extraction, the :class:`TextureClassifier` (which keeps each tile's
@@ -668,12 +667,9 @@ def scan_segment(
     a window (chunk + overlap steps) fits in one default tile, and a
     ``tile_len`` below the window keeps the rows of several tiles.
 
-    The result is cached under ``kind``, the automaton and input
-    digests, the resolved backend name, the tile length, the chunk
-    geometry, and ``repr`` of the device config and cost params
-    (docs/MODEL.md §14).  Every backend is functionally exact and
-    leaves every counter unchanged — texture line ids always come from
-    the dense layout — but the segment records a
+    Every call scans; nothing is stored.  Every backend is functionally
+    exact and leaves every counter unchanged — texture line ids always
+    come from the dense layout — but the segment records a
     :class:`~repro.compress.backend.BackendCost` snapshot (footprint,
     exact failure-chain walk counts) that pricing folds in.
 
@@ -684,25 +680,6 @@ def scan_segment(
     reads the DFA's memo.
     """
     backend = resolve_backend(stt_backend)
-    key = segment_key(
-        kind,
-        dfa,
-        arr,
-        backend,
-        tile_len,
-        plan.chunk_len,
-        plan.overlap,
-        repr(config),
-        repr(params),
-    )
-    seg = segment_get(key)
-    if seg is not None:
-        with tracer.span("ownership_filter") as sp:
-            sp.set(
-                raw_hits=seg.raw_hits, matches=len(seg.matches), cached=True
-            )
-        return seg
-
     texture = TextureClassifier(dfa.n_states, config.texture_cache.line_bytes)
     sinks = [texture] if extra_sink is None else [texture, extra_sink]
     # Chain/lookup counters are cumulative on the adapter the scan
@@ -716,7 +693,7 @@ def scan_segment(
             gather_table=table, sinks=sinks,
         )
         sp.set(raw_hits=outcome.raw_hits, matches=len(outcome.matches))
-    seg = ScanSegment(
+    return ScanSegment(
         matches=outcome.matches,
         raw_hits=outcome.raw_hits,
         bytes_scanned=outcome.bytes_scanned,
@@ -724,8 +701,6 @@ def scan_segment(
         backend_cost=cost_of(dfa, table, backend).since(before),
         extra=None if extra_sink is None else extra_sink.finish(),
     )
-    segment_put(key, seg)
-    return seg
 
 
 def run_on_device(

@@ -106,13 +106,11 @@ def measure_global(
 ) -> GlobalMeasurement:
     """Functional pass + event measurement (no pricing).
 
-    The memoized AC scan segment
-    (:func:`repro.kernels.base.scan_segment`) with the input-load
-    coalescing accumulator fused into its tiles.  The whole
-    measurement is independent of ``threads_per_block`` — that only
-    shapes the launch — so repeated bench cells and perf-gate reruns
-    share one cached segment.  ``gather_table`` is the device's
-    verified copy a launch scans through (default: the DFA's memo).
+    The AC scan segment (:func:`repro.kernels.base.scan_segment`) with
+    the input-load coalescing accumulator fused into its tiles.  The
+    whole measurement is independent of ``threads_per_block`` — that
+    only shapes the launch.  ``gather_table`` is the device's verified
+    copy a launch scans through (default: the DFA's memo).
     """
     params = params or CostParams()
     arr = encode(data, name="data")
@@ -122,7 +120,6 @@ def measure_global(
     overlap = required_overlap(dfa.patterns.max_length)
     plan = plan_chunks(arr.size, chunk_len, overlap)
     seg = scan_segment(
-        "global-scan",
         dfa,
         arr,
         plan,

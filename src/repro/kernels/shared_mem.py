@@ -25,12 +25,15 @@ scheme is conflict-free in both phases.
 Like the global kernel, this module separates :func:`measure_shared`
 from :func:`price_shared`; :func:`run_shared_kernel` runs both inside
 the shared host program (:func:`repro.kernels.base.run_on_device`).
+:func:`stage_shared` re-stages a measurement's scan under another
+store scheme and STT placement, so :func:`run_shared_variants` prices
+several variants from one launch's scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +56,7 @@ from repro.gpu.counters import EventCounters
 from repro.gpu.device import Device
 from repro.gpu.geometry import LaunchConfig
 from repro.gpu.latency import KernelCost
-from repro.gpu.layouts import BlockGeometry, get_scheme
+from repro.gpu.layouts import BlockGeometry, StoreScheme, get_scheme
 from repro.gpu.shared_memory import SharedAccessSummary, summarize
 from repro.kernels.base import (
     CostParams,
@@ -75,19 +78,29 @@ DEFAULT_RESERVED_SHARED = 2048
 
 
 @dataclass
-class SharedMeasurement:
-    """Everything measured from one functional shared-kernel run."""
+class SharedScan:
+    """The scheme-independent half of a shared-kernel measurement: one
+    scan (:func:`repro.kernels.base.scan_segment`) and the block
+    geometry and launch it ran under."""
 
     seg: ScanSegment
+    geom: BlockGeometry
     input_bytes: int
     window_len: int
     n_threads: int
+    launch: LaunchConfig
+
+
+@dataclass
+class SharedMeasurement(SharedScan):
+    """Everything measured from one functional shared-kernel run: the
+    scan plus one store scheme's per-block staging summaries."""
+
     scheme_name: str
     cooperative_staging: bool
     staging_global: CoalesceSummary  # per block
     staging_stores: SharedAccessSummary  # per block
     match_loads: SharedAccessSummary  # per block
-    launch: LaunchConfig
     #: False = the texture-placement ablation: the STT lives in plain
     #: (uncached) global memory; every fetch pays a DRAM round trip.
     stt_in_texture: bool = True
@@ -111,13 +124,13 @@ def measure_shared(
 ) -> SharedMeasurement:
     """Functional pass + event measurement (no pricing).
 
-    The matching phase is the memoized AC scan segment
-    (:func:`repro.kernels.base.scan_segment`); the staging/bank
-    summaries are data-independent per-block templates.  ``scheme``
-    and ``stt_in_texture`` only change those templates and the pricing,
-    so the five shared variants of a bench cell share one cached scan.
-    ``gather_table`` is the device's verified copy a launch scans
-    through (default: the DFA's memo).
+    The matching phase is one AC scan segment
+    (:func:`repro.kernels.base.scan_segment`); :func:`stage_shared`
+    then adds ``scheme``'s staging and bank summaries.  ``scheme`` and
+    ``stt_in_texture`` change only those and the pricing, so
+    :func:`run_shared_variants` stages one measurement several ways
+    instead of rescanning.  ``gather_table`` is the device's verified
+    copy a launch scans through (default: the DFA's memo).
     """
     params = params or CostParams()
     store = get_scheme(scheme)
@@ -141,7 +154,6 @@ def measure_shared(
 
     plan = plan_chunks(arr.size, chunk_bytes, overlap)
     seg = scan_segment(
-        "shared-scan",
         dfa,
         arr,
         plan,
@@ -152,17 +164,40 @@ def measure_shared(
         tracer=coalesce(tracer),
         gather_table=gather_table,
     )
+    scan = SharedScan(
+        seg=seg,
+        geom=geom,
+        input_bytes=int(arr.size),
+        window_len=plan.window_len,
+        n_threads=plan.n_chunks,
+        launch=launch_for(plan.n_chunks, threads_per_block, shared_bytes),
+    )
+    return stage_shared(scan, store, config, stt_in_texture=stt_in_texture)
 
-    # Per-block templates (identical across blocks; scaled at pricing).
+
+def stage_shared(
+    scan: SharedScan,
+    store: StoreScheme,
+    config,
+    *,
+    stt_in_texture: bool = True,
+) -> SharedMeasurement:
+    """A scan's measurement under one store scheme and STT placement.
+
+    The staging and bank summaries are data-independent per-block
+    templates (identical across blocks; scaled at pricing), so staging
+    a scan under another scheme never rescans.
+    """
+    geom = scan.geom
     if store.cooperative_staging:
         g_addr = cooperative_word_addresses(
-            0, geom.staged_words, threads_per_block, lanes=geom.lanes
+            0, geom.staged_words, geom.n_threads, lanes=geom.lanes
         )
     else:
         g_addr = np.concatenate(
             [
                 strided_chunk_addresses(
-                    0, geom.chunk_bytes, 4 * q, threads_per_block,
+                    0, geom.chunk_bytes, 4 * q, geom.n_threads,
                     lanes=geom.lanes,
                 )
                 for q in range(geom.chunk_words)
@@ -184,16 +219,17 @@ def measure_shared(
     )
 
     return SharedMeasurement(
-        seg=seg,
-        input_bytes=int(arr.size),
-        window_len=plan.window_len,
-        n_threads=plan.n_chunks,
+        seg=scan.seg,
+        geom=geom,
+        input_bytes=scan.input_bytes,
+        window_len=scan.window_len,
+        n_threads=scan.n_threads,
+        launch=scan.launch,
         scheme_name=store.name,
         cooperative_staging=store.cooperative_staging,
         staging_global=staging_global,
         staging_stores=staging_stores,
         match_loads=match_loads,
-        launch=launch_for(plan.n_chunks, threads_per_block, shared_bytes),
         stt_in_texture=stt_in_texture,
     )
 
@@ -336,6 +372,49 @@ def run_shared_kernel(
     :func:`repro.kernels.base.run_on_device`; ``tracer`` (default: the
     device's, else the no-op tracer) records its spans.
     """
+    return run_shared_variants(
+        dfa,
+        data,
+        device,
+        variants={scheme: (scheme, stt_in_texture)},
+        threads_per_block=threads_per_block,
+        chunk_bytes=chunk_bytes,
+        reserved_shared=reserved_shared,
+        params=params,
+        tracer=tracer,
+        tile_len=tile_len,
+        stt_backend=stt_backend,
+    )[scheme]
+
+
+def run_shared_variants(
+    dfa: DFA,
+    data,
+    device: Optional[Device] = None,
+    *,
+    variants: Mapping[str, Tuple[str, bool]],
+    threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
+    chunk_bytes: int = DEFAULT_CHUNK_BYTES,
+    reserved_shared: int = DEFAULT_RESERVED_SHARED,
+    params: Optional[CostParams] = None,
+    tracer=None,
+    tile_len: int = DEFAULT_TILE_LEN,
+    stt_backend: str = DEFAULT_BACKEND,
+) -> Dict[str, KernelResult]:
+    """Price several shared-kernel variants from one launch's scan.
+
+    ``variants`` maps a name to its ``(scheme, stt_in_texture)``.  The
+    scheme and STT placement change only the staging templates and the
+    pricing (docs/MODEL.md §14), so one
+    :func:`repro.kernels.base.run_on_device` launch — one input copy,
+    bind, verify and :func:`measure_shared` of the first variant —
+    prices them all, each byte-identical to its own
+    :func:`run_shared_kernel` launch.  The ``kernel_body`` span carries
+    the first variant's scheme and result.
+    """
+    (first, (scheme, in_texture)), *rest = variants.items()
+    rest = [(name, get_scheme(s), t) for name, (s, t) in rest]
+    results: Dict[str, KernelResult] = {}
 
     def body(staged, device, tracer, gather_table):
         meas = measure_shared(
@@ -347,15 +426,22 @@ def run_shared_kernel(
             chunk_bytes=chunk_bytes,
             reserved_shared=reserved_shared,
             params=params,
-            stt_in_texture=stt_in_texture,
+            stt_in_texture=in_texture,
             tracer=tracer,
             tile_len=tile_len,
             stt_backend=stt_backend,
             gather_table=gather_table,
         )
-        return price_shared(meas, device, params)
+        results[first] = price_shared(meas, device, params)
+        for name, store, stt_in_texture in rest:
+            other = stage_shared(
+                meas, store, device.config, stt_in_texture=stt_in_texture
+            )
+            results[name] = price_shared(other, device, params)
+        return results[first]
 
-    return run_on_device(
+    run_on_device(
         "shared_memory", dfa, data, device, tracer, body,
         stt_backend=stt_backend, scheme=scheme,
     )
+    return results

@@ -1,11 +1,24 @@
 """Tests for the experiment runner (small grids for speed)."""
 
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from repro.bench.runner import ExperimentRunner, scale_breakdown
+import repro.kernels.base as base_mod
+from repro.bench.experiments import run_figure
+from repro.bench.runner import SHARED_VARIANTS, ExperimentRunner, scale_breakdown
 from repro.errors import ExperimentError
 from repro.gpu import gtx285
 from repro.gpu.counters import TimingBreakdown
+from repro.gpu.device import Device
+
+#: Every shared variant of the 1MB/p1000 cell (scale 0.005, seed 2013)
+#: as five separate launches computed them.
+GOLDEN_FAMILY = json.loads(
+    (Path(__file__).parent / "golden_shared_family.json").read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +137,76 @@ class TestRunCell:
         cell = runner.run_cell("50KB", 100, kernels=("shared", "global"))
         assert cell.kernels["shared"].matches == cell.kernels["global"].matches
         assert cell.kernels["shared"].matches > 0
+
+
+def spy_launches(monkeypatch) -> Counter:
+    """Count texture binds, texture checks and AC kernel scans."""
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Device, "bind_texture")
+    counted(Device, "verify_texture")
+    counted(base_mod, "scan_tiled")
+    return calls
+
+
+class TestSharedFamily:
+    """A cell prices its shared variants from one scan on one device."""
+
+    def test_variants_match_separate_launches(self):
+        cell = ExperimentRunner(scale=0.005, seed=2013).run_cell(
+            "1MB", 1000, kernels=tuple(SHARED_VARIANTS)
+        )
+        assert set(GOLDEN_FAMILY) == set(SHARED_VARIANTS)
+        for name, want in GOLDEN_FAMILY.items():
+            got = cell.kernels[name]
+            assert got.name == name
+            assert repr(got.seconds) == want["seconds"]
+            assert got.gbps == want["gbps"]
+            assert got.regime == want["regime"]
+            assert got.matches == want["matches"]
+            assert got.counters == want["counters"]
+
+    def test_one_bind_one_verify_one_scan(self, monkeypatch):
+        calls = spy_launches(monkeypatch)
+        ExperimentRunner(scale=0.005, seed=2013).run_cell(
+            "1MB", 1000, kernels=tuple(SHARED_VARIANTS)
+        )
+        assert calls == {"bind_texture": 1, "verify_texture": 1, "scan_tiled": 1}
+
+    def test_figures_never_rescan_a_cell(self, monkeypatch):
+        """Later figures reuse the scans and binds of earlier ones: one
+        global and one shared launch per cell."""
+        calls = spy_launches(monkeypatch)
+        runner = ExperimentRunner(scale=0.005, seed=2013)
+        figures = (
+            "fig13", "fig15", "fig21", "fig22", "fig23",
+            "abl_naive", "abl_transposed", "abl_texture",
+        )
+        for figure in figures:
+            run_figure(figure, runner, ["1MB"], [100, 1000])
+        assert calls == {"bind_texture": 4, "verify_texture": 4, "scan_tiled": 4}
+
+    def test_profiler_sees_the_requested_kernels(self):
+        from repro.obs import KernelProfiler
+
+        profiler = KernelProfiler()
+        runner = ExperimentRunner(scale=0.005, seed=2013, profiler=profiler)
+        runner.run_cell("1MB", 100, kernels=("shared",))
+        runner.run_cell("1MB", 100, kernels=("shared", "shared_naive"))
+        assert [(r.kernel, r.scheme) for r in profiler.reports] == [
+            ("shared_memory", "diagonal"),
+            ("shared_memory", "diagonal"),
+            ("shared_memory", "naive"),
+        ]
 
 
 class TestWaveCorrection:

@@ -8,7 +8,6 @@ from repro import Matcher
 from repro.core import DFA, Match, MatchResult
 from repro.core.multicore import scan_multicore
 from repro.core.serial import match_serial
-from repro.kernels import segcache
 from repro.workload.datasets import DatasetFactory
 
 
@@ -187,10 +186,9 @@ class TestEnginesSkipLexsort:
 
         Covers the tiled engine (serial), the per-slab results and the
         merge of the multicore scan, and the gpu backend's scan
-        segment.  The segment cache is cleared so the gpu scan runs.
+        segment.
         """
         dfa, text = dense_magazine
-        segcache.clear()
         serial = match_serial(dfa, text)
         multicore = scan_multicore(dfa, text, workers=2).matches
         on_gpu = Matcher.from_dfa(dfa, backend="gpu").scan(text)

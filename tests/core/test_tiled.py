@@ -132,6 +132,54 @@ class TestSeams:
         assert got.matches == want
 
 
+class TestOwnership:
+    """Each occurrence is reported by exactly one lane, its owner.
+
+    Canonicalization drops exact duplicates, so an overlap-row output
+    that escaped the ownership filter would vanish from the match set
+    unseen; these tests count the pairs that reach it instead.
+    """
+
+    @pytest.fixture()
+    def reported(self, monkeypatch):
+        import repro.core.tiled as tiled_mod
+
+        sizes = []
+        real = tiled_mod.MatchResult
+
+        class Counting(real):
+            def __init__(self, ends, pattern_ids):
+                sizes.append(len(ends))
+                super().__init__(ends, pattern_ids)
+
+        monkeypatch.setattr(tiled_mod, "MatchResult", Counting)
+        return sizes
+
+    @pytest.mark.parametrize("chunk_len", [1, 3, 4, 64])
+    @pytest.mark.parametrize("tile_len", [2, 7, 256])
+    def test_no_occurrence_reported_twice(
+        self, paper_case, reported, chunk_len, tile_len
+    ):
+        dfa, data = paper_case
+        _, _, _, want, _ = monolithic(dfa, data, chunk_len)
+        got = scan_tiled(dfa, data, chunk_len=chunk_len, tile_len=tile_len)
+        assert got.matches == want
+        assert reported == [len(want)]
+
+    def test_carried_state_reports_once(self, reported):
+        """Lane 0 entered mid-pattern owns the match that began before
+        the input; no other lane repeats it."""
+        dfa = DFA.build(PatternSet([b"hers", b"he", b"ers"]))
+        state = dfa.stt.table[dfa.stt.table[0, ord("h")], ord("e")]
+        got = scan_tiled(
+            dfa, encode(b"rs hers hers"), chunk_len=3, tile_len=2,
+            init_state=int(state),
+        )
+        assert got.matches.as_pairs() == [(1, 0), (1, 2), (4, 1), (6, 0),
+                                          (6, 2), (9, 1), (11, 0), (11, 2)]
+        assert reported == [len(got.matches)]
+
+
 ALPHA = st.sampled_from(["ab", "abc", "he rs"])
 
 

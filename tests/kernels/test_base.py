@@ -30,7 +30,6 @@ def texture_traffic(dfa, text: bytes, chunk=32):
     data = encode(text)
     plan = plan_chunks(data.size, chunk, dfa.patterns.max_length - 1)
     seg = scan_segment(
-        "test-scan",
         dfa,
         data,
         plan,

@@ -23,7 +23,6 @@ from repro.kernels import (
     run_global_kernel,
     run_pfac_kernel,
     run_shared_kernel,
-    segcache,
 )
 from repro.kernels.global_only import measure_global
 from repro.kernels.shared_mem import measure_shared
@@ -37,13 +36,6 @@ KERNELS = {
     "shared": (run_shared_kernel, measure_shared),
     "global": (run_global_kernel, measure_global),
 }
-
-
-@pytest.fixture(autouse=True)
-def fresh_segments():
-    segcache.clear()
-    yield
-    segcache.clear()
 
 
 class TestOneWalk:
@@ -68,7 +60,6 @@ class TestOneWalk:
 
         monkeypatch.setattr(GatherKernel, "step_fused", counting)
         for scans in (1, 2):
-            segcache.clear()
             run(english_dfa, TEXT, Device(), tile_len=tile_len, **kwargs)
             assert len(steps) == scans * window
 
@@ -134,7 +125,6 @@ class TestGoldenCounters:
         )
         run, measure = KERNELS[kernel]
         result = run(dfa, data, Device(), tile_len=tile_len)
-        segcache.clear()
         meas = measure(dfa, data, gtx285(), tile_len=tile_len)
         want = GOLDEN[f"{case}/{kernel}/{tile_len}"]
         assert dataclasses.asdict(result.counters) == want["counters"]

