@@ -1,12 +1,14 @@
-"""Wall-clock speedup of the fused-gather engine vs the pre-PR engine.
+"""Wall-clock speedup of the fused-gather engine vs the lockstep reference.
 
-The acceptance bar of the paper-scale perf push: >= 3x measured
-wall-clock on the 16 MB reference sweep, with the match set pinned
-byte-identical to the pre-rewrite engine (``_legacy_tiled``, the old
-module committed verbatim).  Timing discipline follows
-``measure_multicore``: one untimed warm-up per engine (pays fused-table
-builds, buffer-pool population, JIT compiles), then min-of-N timed
-runs to reject scheduler noise.
+The acceptance bar of the paper-scale perf push: the fused engine
+(:func:`repro.core.tiled.scan_tiled`) must beat the materializing
+reference engine that tier-1 checks it against (``build_windows`` →
+``run_dfa_lockstep`` → ``extract_matches``, :mod:`repro.core.lockstep`)
+by at least :data:`MIN_SPEEDUP` on the 16 MB reference sweep, with the
+match set pinned byte-identical to that reference.  Timing discipline
+follows ``measure_multicore``: one untimed warm-up per engine (pays
+fused-table builds, buffer-pool population, page faults), then min-of-N
+timed runs to reject scheduler noise.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks import _legacy_tiled
-from repro.core.tiled import scan_tiled
+from repro.core.chunking import build_windows, plan_chunks, required_overlap
+from repro.core.lockstep import extract_matches, run_dfa_lockstep
+from repro.core.tiled import DEFAULT_CHUNK_LEN, scan_tiled
 from repro.workload.datasets import DatasetFactory
 
 #: The 16 MB reference input (the perf-gate cell geometry: the paper's
@@ -27,8 +30,11 @@ REFERENCE_BYTES = 16_000_000
 #: Timed repeats per engine; min taken.
 REPEATS = 3
 
-#: The pinned speedup floor (acceptance criterion).
-MIN_SPEEDUP = 3.0
+#: The pinned speedup floor over lockstep.  It carries over the earlier
+#: bar of 3.0x over a frozen copy of the pre-fused engine: on a 2-vCPU
+#: host, lockstep took a median 1.36x (1.26-1.49x) of that engine's time
+#: over 16 alternating rounds of this workload, and 3.0 x 1.36 = 4.07.
+MIN_SPEEDUP = 4.1
 
 
 @pytest.fixture(scope="module")
@@ -54,35 +60,39 @@ def _best_of(fn, repeats: int = REPEATS) -> float:
     return min(times)
 
 
-def test_fused_engine_byte_identical_and_3x(reference_workload):
+def test_fused_engine_byte_identical_and_faster_than_lockstep(
+    reference_workload,
+):
     dfa, data = reference_workload
+    plan = plan_chunks(
+        data.size, DEFAULT_CHUNK_LEN, required_overlap(dfa.patterns.max_length)
+    )
 
     def run_new():
         return scan_tiled(dfa, data)
 
-    def run_old():
-        return _legacy_tiled.scan_tiled(dfa, data)
+    def run_ref():
+        trace = run_dfa_lockstep(dfa, build_windows(data, plan), plan)
+        return extract_matches(dfa, trace), trace.total_fetches()
 
     # Untimed warm-ups: fused tables, buffer pool, page faults.
-    old = run_old()
+    (ref, ref_raw_hits), ref_bytes = run_ref()
     new = run_new()
 
     # Byte-identity first — a fast wrong engine is worthless.
-    np.testing.assert_array_equal(new.matches.ends, old.matches.ends)
-    np.testing.assert_array_equal(
-        new.matches.pattern_ids, old.matches.pattern_ids
-    )
-    assert new.raw_hits == old.raw_hits
-    assert new.bytes_scanned == old.bytes_scanned
+    np.testing.assert_array_equal(new.matches.ends, ref.ends)
+    np.testing.assert_array_equal(new.matches.pattern_ids, ref.pattern_ids)
+    assert new.raw_hits == ref_raw_hits
+    assert new.bytes_scanned == ref_bytes
 
-    old_s = _best_of(run_old)
+    ref_s = _best_of(run_ref)
     new_s = _best_of(run_new)
-    speedup = old_s / new_s
+    speedup = ref_s / new_s
     print(
-        f"\nfused engine: {old_s * 1e3:.0f} ms -> {new_s * 1e3:.0f} ms "
-        f"({speedup:.2f}x) on {data.size / 1e6:.0f} MB"
+        f"\nfused engine vs lockstep: {ref_s * 1e3:.0f} ms -> "
+        f"{new_s * 1e3:.0f} ms ({speedup:.2f}x) on {data.size / 1e6:.0f} MB"
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"fused engine speedup {speedup:.2f}x fell below the pinned "
-        f"{MIN_SPEEDUP}x floor ({old_s:.3f}s -> {new_s:.3f}s)"
+        f"fused engine speedup {speedup:.2f}x over lockstep fell below the "
+        f"pinned {MIN_SPEEDUP}x floor ({ref_s:.3f}s -> {new_s:.3f}s)"
     )

@@ -415,8 +415,10 @@ class ExperimentRunner:
         self._dfa_cache: Dict[int, DFA] = {}
         self._cell_cache: Dict[tuple, CellResult] = {}
         #: (cell, launch family, configuration) → every kernel of the
-        #: family priced from that launch (see :meth:`_priced_family`).
-        self._priced: Dict[tuple, Dict[str, tuple]] = {}
+        #: family priced from that launch (see :meth:`_priced_family`),
+        #: and (cell, ``"serial"``, configuration) → the cell's
+        #: :class:`SerialCost` (see :meth:`_serial`).
+        self._priced: Dict[tuple, Any] = {}
 
     def config_dict(self) -> Dict[str, object]:
         """The tunable configuration, export form (bench documents)."""
@@ -575,15 +577,26 @@ class ExperimentRunner:
             )
         return self._dfa_cache[n_patterns]
 
-    def _serial(self, dfa: DFA, cell: Workload) -> SerialCost:
-        from repro.kernels.base import TextureLineHistogram
+    def _serial(
+        self, size_label: str, n_patterns: int, cell: Workload, dfa: DFA
+    ) -> SerialCost:
+        """The cell's modeled single-core cost, from one sink-only walk.
 
-        hist = TextureLineHistogram(dfa.n_states, self.cpu.line_bytes)
-        feed_sinks(dfa, cell.data, [hist], chunk_len=4096)
-        uniq, counts = hist.nonzero()
-        return serial_cost_from_histogram(
-            uniq, counts, cell.paper_bytes, self.cpu
-        )
+        Kept per (cell, configuration) beside the launch families, so a
+        later figure that asks the cell for ``serial`` or ``serial_mt``
+        does not walk it again.
+        """
+        key = (size_label, n_patterns, "serial", self._config_key())
+        if key not in self._priced:
+            from repro.kernels.base import TextureLineHistogram
+
+            hist = TextureLineHistogram(dfa.n_states, self.cpu.line_bytes)
+            feed_sinks(dfa, cell.data, [hist], chunk_len=4096)
+            uniq, counts = hist.nonzero()
+            self._priced[key] = serial_cost_from_histogram(
+                uniq, counts, cell.paper_bytes, self.cpu
+            )
+        return self._priced[key]
 
     def _scaled(
         self, result: KernelResult, cell: Workload, name: str
@@ -730,7 +743,7 @@ class ExperimentRunner:
         )
 
         if "serial" in kernels or "serial_mt" in kernels:
-            out.serial = self._serial(dfa, cell)
+            out.serial = self._serial(size_label, n_patterns, cell, dfa)
         if "serial_mt" in kernels:
             from repro.bench.cpu_model import multicore_cost
 

@@ -1372,7 +1372,6 @@ def _cmd_paperscale(args) -> int:
 
 def _cmd_cpubench(args) -> int:
     from repro.bench.cpu_model import CpuConfig, multicore_speedup
-    from repro.core.jit import jit_status
     from repro.core.multicore import usable_cores
 
     host = usable_cores()
@@ -1382,7 +1381,7 @@ def _cmd_cpubench(args) -> int:
     print(
         f"cpubench: {args.size} x {args.patterns} patterns "
         f"(sim {cell.sim_bytes / 2**20:.1f} MiB), "
-        f"workers={workers}, host cores={host}, jit: {jit_status()}"
+        f"workers={workers}, host cores={host}"
     )
     meas = runner.measure_serial_mt(
         args.size, args.patterns, workers=workers, repeats=args.repeats

@@ -40,7 +40,6 @@ import numpy as np
 from repro.core.alphabet import ALPHABET_SIZE, STATE_DTYPE
 from repro.core.automaton import AhoCorasickAutomaton
 from repro.core.dfa import DFA
-from repro.core.jit import jit_kernels
 from repro.core.trie import ROOT
 from repro.errors import IntegrityError, ReproError, SerializationError
 from repro.compress.banded import CompressionStats
@@ -214,18 +213,6 @@ class BitmapDeltaSTT:
         if a.size and (a.min() < 0 or a.max() >= ALPHABET_SIZE):
             raise ReproError("symbol out of range")
         res = np.empty(s.shape, dtype=STATE_DTYPE)
-        kernels = jit_kernels()
-        if kernels is not None:
-            total = kernels["bitmap_walk"](
-                self.bitmaps, self.offsets, self.packed, self.fail,
-                self.root_row, self.depth, _POPCOUNT, np.int64(ROOT),
-                s, a, res,
-            )
-            if total >= 0:
-                return res, int(total)
-            # A lane blew its depth bound: fall through to the numpy
-            # walk, which raises the canonical IntegrityError with the
-            # offending lane's diagnostics.
         pending = np.arange(s.size, dtype=np.int64)
         byte_idx = a >> 3
         bit = _BIT[a & 7]

@@ -23,7 +23,6 @@ from repro.core.integrity import (
     stt_row_checksums,
     verify_row_checksums,
 )
-from repro.core.jit import jit_enabled, jit_requested, jit_status, numba_available
 from repro.core.match import Match, MatchResult
 from repro.core.multicore import (
     MultiCoreScanResult,
@@ -83,10 +82,6 @@ __all__ = [
     "required_overlap",
     "DFA",
     "build_dfa",
-    "jit_enabled",
-    "jit_requested",
-    "jit_status",
-    "numba_available",
     "Match",
     "MatchResult",
     "PatternSet",

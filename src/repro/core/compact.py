@@ -142,7 +142,7 @@ class CompactSTT:
     automaton, just with a cache-resident footprint.
     """
 
-    __slots__ = ("class_map", "table", "flat", "_fused")
+    __slots__ = ("class_map", "table", "_fused")
 
     def __init__(self, class_map: ByteClassMap, table: np.ndarray):
         table = np.ascontiguousarray(table, dtype=STATE_DTYPE)
@@ -154,8 +154,6 @@ class CompactSTT:
         table.setflags(write=False)
         self.class_map = class_map
         self.table = table
-        # Row-major flat view (state * n_classes + class).
-        self.flat = table.reshape(-1)
         self._fused = {}
 
     def fused_tables(self, match_flags: np.ndarray, dtype):

@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.alphabet import BytesLike, MATCH_COLUMN, encode
 from repro.core.chunking import ChunkPlan, plan_chunks, required_overlap
 from repro.core.dfa import DFA
-from repro.core.jit import jit_kernels
 from repro.core.match import MatchResult
 from repro.core.tiled import (
     DEFAULT_CHUNK_LEN, DEFAULT_TILE_LEN, StateVisitHistogram, feed_sinks,
@@ -91,15 +90,10 @@ def _walk(dfa: DFA, data: np.ndarray, state: int) -> Tuple[np.ndarray, int]:
     """Scalar DFA walk of *data* from *state*.
 
     Returns the state after each byte and the state after the last.
-    The loop reads the bytes as a pre-converted list of ints; under
-    ``REPRO_JIT=1`` the compiled ``scalar_walk`` kernel runs instead
-    (identical states, pinned by ``tests/core/test_jit.py``).
+    The loop reads the bytes as a pre-converted list of ints.
     """
     table = dfa.stt.next_states
     states = np.empty(data.size, dtype=np.int64)
-    kernels = jit_kernels()
-    if kernels is not None:
-        return states, int(kernels["scalar_walk"](table, state, data, states))
     for i, byte in enumerate(data.tolist()):
         state = int(table[state, byte])
         states[i] = state

@@ -141,11 +141,6 @@ class GatherKernel:
     :func:`tile_state_dtype`, so machines under
     :data:`U16_STATE_LIMIT` states gather uint16 values.
 
-    Under ``REPRO_JIT=1`` (and with numba importable) the fused step
-    runs a compiled ``nogil`` loop from :mod:`repro.core.jit` instead —
-    same gather, identical output, pinned by ``tests/core/test_jit.py``
-    — falling back to the NumPy path automatically otherwise.
-
     ``table`` may also be a gather *adapter* (an object exposing
     ``alloc(n)`` / ``step_into(state, symbols, out_row)`` and the
     per-state ``match_flags`` — see :mod:`repro.compress.backend`);
@@ -154,14 +149,9 @@ class GatherKernel:
     them.
     """
 
-    __slots__ = (
-        "adapter", "row_dtype", "col_flat", "cls_lut", "flag_flat", "_sym", "_jit"
-    )
+    __slots__ = ("adapter", "row_dtype", "col_flat", "cls_lut", "flag_flat", "_sym")
 
     def __init__(self, dfa: DFA, table=None):
-        from repro.core.jit import jit_kernels
-
-        self._jit = jit_kernels()
         self._sym = None
         self.row_dtype = tile_state_dtype(dfa)
         self.adapter = table if hasattr(table, "step_into") else None
@@ -210,26 +200,8 @@ class GatherKernel:
         gathered through the *same* staged index — one extra take per
         step, not a separate per-tile flag pass.
 
-        Fused kernels only (``adapter`` is None); under
-        ``REPRO_JIT=1`` the whole row runs as one compiled ``nogil``
-        loop.
+        Fused kernels only (``adapter`` is None).
         """
-        if self._jit is not None:
-            if hit_row is None:
-                self._jit["gather_cols"](
-                    self.col_flat, self.cls_lut, prev, symbols, out_row
-                )
-            else:
-                self._jit["gather_cols_flag"](
-                    self.col_flat,
-                    self.cls_lut,
-                    self.flag_flat,
-                    prev,
-                    symbols,
-                    out_row,
-                    hit_row,
-                )
-            return
         np.take(self.cls_lut, symbols, out=self._sym)
         np.add(self._sym, prev, out=self._sym)
         np.take(self.col_flat, self._sym, out=out_row)

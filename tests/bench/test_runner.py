@@ -195,6 +195,24 @@ class TestSharedFamily:
             run_figure(figure, runner, ["1MB"], [100, 1000])
         assert calls == {"bind_texture": 4, "verify_texture": 4, "scan_tiled": 4}
 
+    def test_figures_never_rewalk_the_cpu_model(self, monkeypatch):
+        """Every figure below asks both cells for a CPU baseline; the
+        CPU model walks each cell once."""
+        import repro.bench.runner as runner_mod
+
+        walks = []
+        real = runner_mod.feed_sinks
+
+        def counted(*args, **kwargs):
+            walks.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "feed_sinks", counted)
+        runner = ExperimentRunner(scale=0.005, seed=2013)
+        for figure in ("fig13", "fig18", "fig16", "fig21"):
+            run_figure(figure, runner, ["1MB"], [100, 1000])
+        assert len(walks) == 2
+
     def test_profiler_sees_the_requested_kernels(self):
         from repro.obs import KernelProfiler
 

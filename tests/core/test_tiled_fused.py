@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 import repro.core.tiled as tiled
 from repro.core import DFA, PatternSet
 from repro.core.alphabet import STATE_DTYPE
-from repro.core.jit import JIT_ENV_VAR
 from repro.core.tiled import (
     GatherKernel,
     StateVisitHistogram,
@@ -136,11 +135,8 @@ class TestAllocationDiscipline:
         The old engine's row-at-a-time flag gather let ``np.take``
         cast its index array to intp, allocating a fresh
         (tile_len × n_threads) transient per tile; the fused engine
-        stages every gather through pooled buffers.  Pins the NumPy
-        step, so the compiled ``REPRO_JIT=1`` loop (no ``np.take``) is
-        switched off here.
+        stages every gather through pooled buffers.
         """
-        monkeypatch.delenv(JIT_ENV_VAR, raising=False)
         dfa, data = quiet_workload
         scan_tiled(dfa, data)  # warm-up: tables + pool outside the spy
         real_take = np.take
