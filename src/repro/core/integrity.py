@@ -3,12 +3,13 @@
 The paper's deployment scenario compiles dictionaries offline and ships
 the STT to NIDS sensors, where it sits resident in device memory for
 days.  A single flipped transition entry silently reroutes the DFA —
-matches are dropped or invented with no error — so both the on-disk
-format (:mod:`repro.core.serialization`, ``REPRODFA`` v2), the
-serving cache (:meth:`repro.serve.cache.CacheEntry.verify`) and the
-epoch swap (:class:`repro.serve.epoch.EpochManager`) carry **per-row
-CRC32 checksums** of the dense transition table and re-verify them
-before the table is allowed to feed a scan.
+matches are dropped or invented with no error — so the on-disk format
+(:mod:`repro.core.serialization`, ``REPRODFA`` v2), the serving cache
+(:meth:`repro.serve.cache.CacheEntry.verify`) and the epoch swap
+(:class:`repro.serve.epoch.EpochManager`) carry **per-row CRC32
+checksums** of the dense transition table.  A loaded or served host
+table is re-verified against them before anything reads it: a device
+bind, a serial scan, the serving fallback.
 
 Per-row (rather than whole-table) checksums cost the same 4 bytes/KB
 but localize the damage: an :class:`~repro.errors.IntegrityError`
@@ -19,8 +20,9 @@ The simulated device guards the bytes a kernel actually reads — the
 gather arrays of the launch's STT backend, not the dense table — with
 :func:`block_checksums`: one CRC32 per 64 KiB block, recorded by
 :meth:`repro.gpu.device.Device.bind_texture` and re-checked by
-:meth:`~repro.gpu.device.Device.verify_texture` before every launch.
-Those live only in memory, so they are not a persisted format.
+:meth:`~repro.gpu.device.Device.verify_texture` before every launch,
+so a scan that reads only that copy needs no row-CRC pass.  Those live
+only in memory, so they are not a persisted format.
 
 CRC32 is an integrity check against *accidental* corruption (bit rot,
 truncated copies, DMA errors), not an authenticity check: an attacker

@@ -420,9 +420,10 @@ class Device:
         CRC32 per 64 KiB block of each.  :meth:`verify_texture` re-checks every block
         before each launch and the AC kernels gather through this copy
         (:meth:`gather_table`), so a bit flip that lands after binding
-        is caught before the scan reads it.  The dense STT's row CRCs
-        are checked where the table enters the system — the REPRODFA
-        load, the serving cache hit, the epoch swap — not here.
+        is caught before the scan reads it.  The dense STT this reads
+        is row-CRC-checked by its owner before the bind — the REPRODFA
+        load, the serving cache's ``get_or_build``, the epoch manager's
+        ``built_for`` — not here.
 
         The modeled allocation is the dense STT's bytes
         (:class:`TextureBinding`).  Rebinding replaces (and frees) any

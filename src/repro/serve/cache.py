@@ -9,8 +9,8 @@ per request would dwarf the scan itself.  :class:`AutomatonCache`
 memoizes compiled :class:`~repro.core.dfa.DFA`\\ s behind a
 content-addressed key so a repeat pattern set skips phase-1
 construction entirely, and carries the STT's per-row CRC32 vector
-(:mod:`repro.core.integrity`) so every consumer can re-verify that the
-cached table is byte-identical to a fresh build.
+(:mod:`repro.core.integrity`) so every consumer that reads the cached
+table can first re-verify that it is byte-identical to a fresh build.
 
 Keying rules (docs/MODEL.md §8):
 
@@ -70,11 +70,13 @@ class CacheEntry:
     digest: str
     dfa: DFA
     #: Per-row CRC32 of the STT at build time.  :meth:`verify`
-    #: re-checks the table against it on every cache hit, so a
-    #: corrupted entry is evicted and rebuilt before it can drive a
-    #: scan.  The other row checks are ``EpochManager._verify`` and the
-    #: REPRODFA load; a device bind takes no row CRCs — the device
-    #: block-checksums its own copy of the gather arrays.
+    #: re-checks the table against it on every :meth:`AutomatonCache.get`,
+    #: so a corrupted entry is evicted and rebuilt before anything reads
+    #: its table.  The other row checks are ``EpochManager._verify`` and
+    #: the REPRODFA load; a device bind takes no row CRCs — the device
+    #: block-checksums its own copy of the gather arrays before every
+    #: launch, so a consumer that reads only that copy bumps the entry
+    #: with :meth:`AutomatonCache.touch` instead.
     row_checksums: np.ndarray
     case_insensitive: bool
     #: STT storage backend this entry's gather table was prepared for;
@@ -146,12 +148,13 @@ class AutomatonCache:
     ) -> Optional[CacheEntry]:
         """The verified entry for ``(digest, stt_backend)``, or None.
 
-        Every hit is re-verified against the entry's build-time row
-        CRCs — the cached STT must be byte-identical to a fresh build.
-        A corrupted entry (bit rot, a stray write) is **evicted, not
-        raised**: the lookup degrades to a miss, so the caller's build
-        path produces a fresh, correct automaton — self-healing instead
-        of wedging every future request on that digest.
+        A host table is verified before anything reads it, so every hit
+        is re-checked against the entry's build-time row CRCs — the
+        cached STT must be byte-identical to a fresh build.  A corrupted
+        entry (bit rot, a stray write) is **evicted, not raised**: the
+        lookup degrades to a miss, so the caller's build path produces a
+        fresh, correct automaton — self-healing instead of wedging every
+        future request on that digest.
         """
         key = (digest, resolve_backend(stt_backend))
         entry = self._entries.get(key)
@@ -171,6 +174,23 @@ class AutomatonCache:
                 "automaton_cache_entries", "resident cached automata"
             ).set(len(self._entries))
             return None
+        self.touch(digest, stt_backend=key[1])
+        return entry
+
+    def touch(
+        self, digest: str, *, stt_backend: str = DEFAULT_BACKEND
+    ) -> bool:
+        """A :meth:`get` hit without the row-CRC pass; False if absent.
+
+        For a consumer that reads no host table, such as a scheduler
+        batch that gathers through the device copy it bound from this
+        entry.  The LRU order, hit counters, metric and ``cache_hit``
+        event move as on a :meth:`get` hit.
+        """
+        key = (digest, resolve_backend(stt_backend))
+        entry = self._entries.get(key)
+        if entry is None:
+            return False
         self._entries.move_to_end(key)
         entry.hits += 1
         self.hits += 1
@@ -178,7 +198,7 @@ class AutomatonCache:
             "automaton_cache_hits_total", "automaton cache hits"
         ).inc()
         self.tracer.event("cache_hit", digest=digest[:12])
-        return entry
+        return True
 
     def get_or_build(
         self,

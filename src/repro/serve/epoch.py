@@ -347,7 +347,8 @@ class EpochManager:
     def built_for(self, epoch: Epoch) -> BuiltVersion:
         """The verified automaton of a leased epoch, self-healing.
 
-        Re-checksums the epoch's table before it drives a scan.  A
+        Re-checksums the epoch's table; call it before anything reads
+        the table (a bind, a serial scan, a fallback).  A
         corrupted table is **rebuilt from the epoch's immutable registry
         record, not raised** — the same evict-and-rebuild degradation
         the :class:`~repro.serve.cache.AutomatonCache` applies — so a

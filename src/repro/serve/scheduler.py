@@ -12,7 +12,8 @@ distribution behind matching.  Repeat pattern sets hit the
 :class:`~repro.serve.cache.AutomatonCache` and the per-digest matcher's
 persistent texture binding, so they skip phase-1 build *and* the STT
 upload entirely (the PFAC-style persistent-automaton trick,
-arXiv:1811.10498).
+arXiv:1811.10498), and — since the launch verifies the device copy it
+gathers through — the host table's row-CRC pass as well.
 
 Semantics are sacred: every request's :class:`MatchResult` is
 byte-exact with the serial oracle run on that request alone.  Batching
@@ -526,39 +527,54 @@ class ScanScheduler:
 
     # -- execution -------------------------------------------------------
 
-    def _matcher_for(self, request: ScanRequest) -> Tuple[Matcher, bool, bool]:
+    def _matcher_for(
+        self, request: ScanRequest, *, reads_host: bool = False
+    ) -> Tuple[Matcher, bool, bool]:
         """``(matcher, cache_hit, bind_resident)`` for a request's digest.
 
-        ``bind_resident`` is True when the digest's matcher already has
-        its STT texture-bound from a previous batch — the repeat-path
-        that skips both build and bind.  Epoch-leased requests bypass
-        the LRU cache: their automaton is the leased epoch's verified
-        table (one per live epoch, dropped at retirement), so two
-        versions of one rule set can serve side by side during a swap.
+        A matcher whose device still holds its binding reads no host
+        table — the launch verifies the device copy it gathers through —
+        so it only bumps its cache entry (:meth:`AutomatonCache.touch`;
+        an epoch has none).  Every other batch, and the per-request
+        fallback (``reads_host``), reads the host table, so it first
+        fetches the DFA verified through its owner —
+        :meth:`AutomatonCache.get_or_build` or
+        :meth:`EpochManager.built_for` — and a table rebuilt there gets
+        a fresh matcher.  Epoch-leased requests bypass the LRU cache:
+        their automaton is the leased epoch's table, so two versions of
+        one rule set can serve side by side during a swap, and a fresh
+        matcher over it counts as a miss.
         """
-        if request.lease is not None:
-            return self._epoch_matcher_for(request)
         digest = request.digest
-        matcher = self._matchers.get(digest)
-        if matcher is not None:
-            # cache.get re-verifies row checksums; a corrupted entry
-            # comes back as a miss (evicted) and is rebuilt below.
-            entry = self.cache.get(digest, stt_backend=self.stt_backend)
-            if entry is not None:
-                bind_resident = (
-                    matcher.device is not None
-                    and matcher.device.texture is not None
-                )
-                return matcher, True, bind_resident
-            # Evicted behind our back: rebuild through the cache below.
-            self._matchers.pop(digest, None)
-        entry, hit = self.cache.get_or_build(
-            request.patterns,
-            case_insensitive=request.case_insensitive,
-            stt_backend=self.stt_backend,
-        )
+        lease = request.lease
+        if lease is None:
+            matcher = self._matchers.get(digest)
+        else:
+            matcher, _ = self._epoch_matchers.get(digest, (None, None))
+        if (
+            not reads_host
+            and matcher is not None
+            and matcher.device is not None
+            and matcher.device.texture is not None
+            and (
+                lease is not None
+                or self.cache.touch(digest, stt_backend=self.stt_backend)
+            )
+        ):
+            return matcher, True, True
+        if lease is None:
+            entry, hit = self.cache.get_or_build(
+                request.patterns,
+                case_insensitive=request.case_insensitive,
+                stt_backend=self.stt_backend,
+            )
+            dfa = entry.dfa
+        else:
+            dfa, hit = self.epochs.built_for(lease.epoch).dfa, False
+        if matcher is not None and matcher.dfa is dfa:
+            return matcher, True, False
         matcher = Matcher.from_dfa(
-            entry.dfa,
+            dfa,
             backend=self.backend,
             case_insensitive=request.case_insensitive,
             tracer=self.tracer,
@@ -575,45 +591,14 @@ class ScanScheduler:
                 injector=self.injector,
                 tracer=self.tracer,
             )
+        if lease is not None:
+            self._epoch_matchers[digest] = (matcher, lease.epoch)
+            return matcher, hit, False
         self._matchers[digest] = matcher
         # Matchers follow their cache entry's lifetime.
         for stale in [d for d in self._matchers if d not in self.cache]:
             del self._matchers[stale]
         return matcher, hit, False
-
-    def _epoch_matcher_for(
-        self, request: ScanRequest
-    ) -> Tuple[Matcher, bool, bool]:
-        """Matcher pinned to the request's leased epoch."""
-        epoch = request.lease.epoch
-        cached = self._epoch_matchers.get(request.digest)
-        if cached is not None:
-            matcher, _ = cached
-            bind_resident = (
-                matcher.device is not None
-                and matcher.device.texture is not None
-            )
-            return matcher, True, bind_resident
-        built = self.epochs.built_for(epoch)
-        matcher = Matcher.from_dfa(
-            built.dfa,
-            backend=self.backend,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            profiler=self.profiler,
-            tile_len=self.tile_len,
-            stt_backend=self.stt_backend,
-        )
-        if self.backend == "gpu":
-            from repro.gpu.device import Device
-
-            matcher.device = Device(
-                self.device_config,
-                injector=self.injector,
-                tracer=self.tracer,
-            )
-        self._epoch_matchers[request.digest] = (matcher, epoch)
-        return matcher, False, False
 
     def _run_batch(self, batch) -> BatchReport:
         requests = [r for r, _ in batch]
@@ -644,7 +629,7 @@ class ScanScheduler:
             try:
                 results = matcher.scan_many(texts)
             except ReproError:
-                results = self._fallback_batch(matcher, requests, tickets)
+                results = self._fallback_batch(requests, tickets)
                 report.fallback_request_ids = [
                     r.request_id
                     for r, t in zip(requests, tickets)
@@ -736,16 +721,18 @@ class ScanScheduler:
                     "request_seconds", wait + pipeline, **kwargs
                 )
 
-    def _fallback_batch(self, matcher, requests, tickets):
+    def _fallback_batch(self, requests, tickets):
         """Per-request resilient re-run after a failed batch pass.
 
         Each request gets its own retry/fallback episode
         (:meth:`~repro.resilience.pipeline.ResilientMatcher.scan_many`
         with ``return_exceptions=True``), so one poisoned request
-        cannot take down its batchmates.
+        cannot take down its batchmates.  The episodes read the host
+        DFA, so it is fetched verified first.
         """
         from repro.resilience.pipeline import DEFAULT_CHAIN, ResilientMatcher
 
+        matcher, _, _ = self._matcher_for(requests[0], reads_host=True)
         chain = (
             DEFAULT_CHAIN[DEFAULT_CHAIN.index(self.backend):]
             if self.backend in DEFAULT_CHAIN

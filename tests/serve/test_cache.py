@@ -82,6 +82,25 @@ class TestLru:
         assert hit
         assert (cache.hits, cache.misses) == (1, 1)
 
+    def test_touch_is_a_hit_without_a_row_crc_pass(self, monkeypatch):
+        metrics, tracer = Metrics(), Tracer()
+        cache = AutomatonCache(2, metrics=metrics, tracer=tracer)
+        e0, _ = cache.get_or_build(DICTIONARIES[0])
+        e1, _ = cache.get_or_build(DICTIONARIES[1])
+        verified = []
+        monkeypatch.setattr(
+            type(e0), "verify", lambda entry: verified.append(entry)
+        )
+        assert cache.touch(e0.digest)  # refresh 0; 1 becomes LRU
+        assert not cache.touch(e0.digest, stt_backend="bitmap")
+        assert verified == []
+        assert (cache.hits, e0.hits) == (1, 1)
+        assert [r.name for r in tracer.roots].count("cache_hit") == 1
+        assert metrics.counter("automaton_cache_hits_total").value() == 1
+        e2, _ = cache.get_or_build(DICTIONARIES[2])
+        assert cache.digests == (e0.digest, e2.digest)
+        assert not cache.touch(e1.digest)
+
     def test_metrics_and_tracer_threading(self):
         metrics, tracer = Metrics(), Tracer()
         cache = AutomatonCache(1, metrics=metrics, tracer=tracer)
