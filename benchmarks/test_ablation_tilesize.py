@@ -1,10 +1,11 @@
 """Ablation — step-tile length of the tiled lockstep engine.
 
 The tile length trades Python-level loop overhead (small tiles) against
-per-tile working-set size (large tiles); the modeled GPU counters must
-not move at all (the tile is an execution artifact, not a model knob).
-The sweep records every (tile × size) point as a schema-v2 cell through
-the session collector, and a 64 MB scan is run under ``tracemalloc`` to
+per-tile working-set size (large tiles) in the CPU scans
+(:func:`~repro.core.tiled.scan_tiled`); the GPU kernels always scan at
+the engine's default tile, since their modeled counters never depended
+on it.  The sweep times every (tile × size) point and pins its matches
+to the default tile's, and a 64 MB scan is run under ``tracemalloc`` to
 pin the tentpole memory claim: peak incremental memory stays within a
 fixed multiple of the (n_threads × tile_len) working set instead of
 growing O(input) like the retained-trace path.
@@ -26,46 +27,29 @@ SIZES = ["1MB", "10MB"]
 N_PATTERNS = 1000
 
 
+@pytest.fixture(scope="module")
+def sweep_cells(runner):
+    """The sweep's cells with their matches at the default tile."""
+    dfa = runner.dfa_for(N_PATTERNS)
+    cells = [runner.factory.cell(size, N_PATTERNS) for size in SIZES]
+    return dfa, [(cell, scan_tiled(dfa, cell.data).matches) for cell in cells]
+
+
 @pytest.mark.parametrize("tile_len", TILE_LENS)
-def test_tile_size_sweep(benchmark, runner, tile_len):
-    """Sweep tile × size as schema-v2 cells; counters must be identical."""
-    saved = runner.tile_len
-    runner.tile_len = tile_len
-    try:
-        results = benchmark.pedantic(
-            lambda: [
-                runner.run_cell(size, N_PATTERNS, kernels=("shared",))
-                for size in SIZES
-            ],
-            rounds=1,
-            iterations=1,
-        )
-    finally:
-        runner.tile_len = saved
-    for cell in results:
-        sk = cell.kernels["shared"]
-        print(
-            f"\ntile={tile_len} {cell.size_label}: {sk.gbps:.2f} Gbps "
-            f"tex_hit={sk.tex_hit_rate:.4f} matches={sk.matches}"
-        )
-        assert sk.matches > 0
-
-
-def test_counters_tile_invariant(runner):
-    """The modeled counters are byte-identical across tile lengths."""
-    reference = None
-    saved = runner.tile_len
-    try:
-        for tile_len in TILE_LENS:
-            runner.tile_len = tile_len
-            cell = runner.run_cell("1MB", N_PATTERNS, kernels=("shared",))
-            counters = cell.kernels["shared"].counters
-            if reference is None:
-                reference = counters
-            else:
-                assert counters == reference, f"tile_len={tile_len} drifted"
-    finally:
-        runner.tile_len = saved
+def test_tile_size_sweep(benchmark, sweep_cells, tile_len):
+    """Sweep tile × size; every tile finds the default tile's matches."""
+    dfa, cells = sweep_cells
+    results = benchmark.pedantic(
+        lambda: [
+            scan_tiled(dfa, cell.data, tile_len=tile_len) for cell, _ in cells
+        ],
+        rounds=1,
+        iterations=1,
+    )
+    for (cell, want), got in zip(cells, results):
+        print(f"\ntile={tile_len} {cell.size_label}: matches={len(want)}")
+        assert len(want) > 0
+        assert got.matches == want
 
 
 def test_peak_memory_bounded_by_tile_working_set(runner):

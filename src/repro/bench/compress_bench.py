@@ -35,12 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.runner import (
-    CellResult,
-    ExperimentRunner,
-    cell_from_dict,
-    cell_to_dict,
-)
+from repro.bench.runner import CellResult, ExperimentRunner
 from repro.compress.backend import resolve_backend
 from repro.errors import ExperimentError, ReproError
 from repro.obs import BenchCollector
@@ -130,33 +125,6 @@ class SnortDatasetFactory(DatasetFactory):
         )
 
 
-#: Per-worker-process runner for the parallel sweep, created once by
-#: the pool initializer so one worker computing several cells of the
-#: same dictionary size reuses its automaton build.
-_SNORT_RUNNER: Optional[ExperimentRunner] = None
-
-
-def _snort_worker_init(
-    scale: float, seed: int, base_size: str, tile_len: int
-) -> None:
-    global _SNORT_RUNNER
-    runner = ExperimentRunner(scale=scale, seed=seed, tile_len=tile_len)
-    runner.factory = SnortDatasetFactory(
-        seed=seed, scale=scale, base_size=base_size
-    )
-    _SNORT_RUNNER = runner
-
-
-def _snort_worker(label: str, n_patterns: int, backend: str) -> dict:
-    """Compute one trade-off cell in a pool worker (serialized form)."""
-    if _SNORT_RUNNER is None:
-        raise ExperimentError("snort worker called before its initializer")
-    _SNORT_RUNNER.stt_backend = backend
-    return cell_to_dict(
-        _SNORT_RUNNER.run_cell(label, n_patterns, kernels=("shared",))
-    )
-
-
 def cell_label(n_patterns: int, backend: str) -> str:
     """The bench label of one trade-off cell (``snortc20k_banded``)."""
     count = (
@@ -202,8 +170,6 @@ def run_compress_bench(
     min_ratio: float = 4.0,
     gate_patterns: int = 20_000,
     out: Optional[str] = None,
-    workers: int = 1,
-    tile_len: Optional[int] = None,
 ) -> str:
     """Sweep ``pattern_counts`` x ``backends``; gate; return the report.
 
@@ -230,7 +196,6 @@ def run_compress_bench(
         scale=scale,
         seed=seed,
         stt_backend=resolved[0],
-        tile_len=tile_len,
         collector=collector,
     )
     runner.factory = SnortDatasetFactory(
@@ -244,35 +209,12 @@ def run_compress_bench(
     collector.config["base_size"] = size_label
 
     cells: List[CellResult] = []
-    specs = [
-        (cell_label(n, backend), n, backend)
-        for n in pattern_counts
-        for backend in resolved
-    ]
-    if workers > 1 and len(specs) > 1:
-        # Fan cells across a process pool; every cell is a pure
-        # function of (scale, seed, base_size, tile_len, backend), so
-        # the merged sweep is byte-identical to the serial one.  Cells
-        # are collected in deterministic sweep order regardless of
-        # completion order.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(specs)),
-            initializer=_snort_worker_init,
-            initargs=(scale, seed, size_label, runner.tile_len),
-        ) as pool:
-            futures = {
-                spec: pool.submit(_snort_worker, *spec) for spec in specs
-            }
-            for spec in specs:
-                cell = cell_from_dict(futures[spec].result())
-                cells.append(cell)
-                collector.on_cell(cell, cached=False)
-    else:
-        for label, n, backend in specs:
+    for n in pattern_counts:
+        for backend in resolved:
             runner.stt_backend = backend
-            cells.append(runner.run_cell(label, n, kernels=("shared",)))
+            cells.append(
+                runner.run_cell(cell_label(n, backend), n, kernels=("shared",))
+            )
 
     if out is not None:
         collector.write_json(out)

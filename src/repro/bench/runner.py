@@ -17,10 +17,7 @@ sizes.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +29,7 @@ from repro.bench.cpu_model import (
 )
 from repro.compress.backend import DEFAULT_BACKEND, cost_of, resolve_backend
 from repro.core.dfa import DFA
-from repro.core.tiled import DEFAULT_TILE_LEN, feed_sinks
+from repro.core.tiled import feed_sinks
 from repro.errors import ExperimentError
 from repro.gpu.config import DeviceConfig, gtx285
 from repro.gpu.counters import TimingBreakdown
@@ -201,128 +198,6 @@ def counter_summary(result: KernelResult) -> Dict[str, float]:
     }
 
 
-# -- cell (de)serialization ------------------------------------------------
-
-#: On-disk cell-cache format version; bump on any field change so stale
-#: cache files are recomputed instead of misread.
-CELL_CACHE_VERSION = 1
-
-
-def cell_to_dict(cell: CellResult) -> Dict[str, Any]:
-    """Full-fidelity JSON form of a :class:`CellResult`.
-
-    Unlike the collector's export records this keeps every field needed
-    to reconstruct the dataclass exactly (:func:`cell_from_dict`), so a
-    cell computed in a worker process or loaded from the on-disk cache
-    is indistinguishable from one computed in-process.  Floats survive
-    a JSON round-trip bit-exactly (repr-based encoding), which is what
-    makes ``--resume`` runs byte-identical to fresh ones.
-    """
-
-    def _cost(cost: Optional[SerialCost]) -> Optional[Dict[str, Any]]:
-        if cost is None:
-            return None
-        return {
-            "cycles_per_byte": float(cost.cycles_per_byte),
-            "line_miss_rate": float(cost.line_miss_rate),
-            "seconds": float(cost.seconds),
-            "input_bytes": int(cost.input_bytes),
-            "cores": int(cost.cores),
-        }
-
-    return {
-        "cache_version": CELL_CACHE_VERSION,
-        "size_label": cell.size_label,
-        "paper_bytes": int(cell.paper_bytes),
-        "sim_bytes": int(cell.sim_bytes),
-        "n_patterns": int(cell.n_patterns),
-        "n_states": int(cell.n_states),
-        "serial": _cost(cell.serial),
-        "serial_mt": _cost(cell.serial_mt),
-        "kernels": {
-            name: {
-                "name": sk.name,
-                "seconds": float(sk.seconds),
-                "gbps": float(sk.gbps),
-                "regime": sk.regime,
-                "tex_hit_rate": float(sk.tex_hit_rate),
-                "avg_conflict_degree": float(sk.avg_conflict_degree),
-                "warps_per_sm": int(sk.warps_per_sm),
-                "matches": int(sk.matches),
-                "counters": dict(sk.counters),
-            }
-            for name, sk in cell.kernels.items()
-        },
-        "stt": dict(cell.stt) if cell.stt is not None else None,
-    }
-
-
-def cell_from_dict(doc: Dict[str, Any]) -> CellResult:
-    """Reconstruct a :class:`CellResult` from :func:`cell_to_dict` form."""
-    if doc.get("cache_version") != CELL_CACHE_VERSION:
-        raise ExperimentError(
-            f"cell cache version mismatch: expected {CELL_CACHE_VERSION}, "
-            f"got {doc.get('cache_version')!r}"
-        )
-
-    def _cost(block: Optional[Dict[str, Any]]) -> Optional[SerialCost]:
-        if block is None:
-            return None
-        return SerialCost(
-            cycles_per_byte=block["cycles_per_byte"],
-            line_miss_rate=block["line_miss_rate"],
-            seconds=block["seconds"],
-            input_bytes=block["input_bytes"],
-            cores=block["cores"],
-        )
-
-    return CellResult(
-        size_label=doc["size_label"],
-        paper_bytes=doc["paper_bytes"],
-        sim_bytes=doc["sim_bytes"],
-        n_patterns=doc["n_patterns"],
-        n_states=doc["n_states"],
-        serial=_cost(doc["serial"]),
-        serial_mt=_cost(doc["serial_mt"]),
-        kernels={
-            name: ScaledKernel(
-                name=blk["name"],
-                seconds=blk["seconds"],
-                gbps=blk["gbps"],
-                regime=blk["regime"],
-                tex_hit_rate=blk["tex_hit_rate"],
-                avg_conflict_degree=blk["avg_conflict_degree"],
-                warps_per_sm=blk["warps_per_sm"],
-                matches=blk["matches"],
-                counters=dict(blk["counters"]),
-            )
-            for name, blk in doc["kernels"].items()
-        },
-        stt=dict(doc["stt"]) if doc["stt"] is not None else None,
-    )
-
-
-# -- process-pool worker ---------------------------------------------------
-
-#: Per-worker-process runner, created once by the pool initializer so a
-#: worker that computes several cells reuses its DFA and text caches.
-_WORKER_RUNNER: Optional["ExperimentRunner"] = None
-
-
-def _grid_worker_init(export: Dict[str, Any]) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = ExperimentRunner.from_export(export)
-
-
-def _grid_worker(
-    size_label: str, n_patterns: int, kernels: Tuple[str, ...]
-) -> Dict[str, Any]:
-    """Compute one cell in a pool worker; returns its serialized form."""
-    if _WORKER_RUNNER is None:
-        raise ExperimentError("grid worker called before its initializer")
-    return cell_to_dict(_WORKER_RUNNER.run_cell(size_label, n_patterns, kernels))
-
-
 class ExperimentRunner:
     """Executes grid cells with caching of dictionaries and cells.
 
@@ -348,23 +223,14 @@ class ExperimentRunner:
         shared_threads_per_block: int = 128,
         shared_chunk_bytes: int = 64,
         wave_correction: bool = False,
-        tile_len: Optional[int] = None,
         stt_backend: str = DEFAULT_BACKEND,
         mt_workers: int = 0,
-        workers: int = 1,
-        cell_cache_dir: Optional[str] = None,
-        resume: bool = False,
         collector=None,
         tracer=None,
         profiler=None,
     ):
         self.scale = scale
         self.seed = seed
-        #: Step-tile length of the tiled lockstep engine (None → the
-        #: engine default).  Part of the cell-cache key: the modeled
-        #: counters are tile-invariant, so mutating it between runs is
-        #: how the tile-size ablation shares one runner.
-        self.tile_len = tile_len if tile_len is not None else DEFAULT_TILE_LEN
         #: STT storage backend every GPU kernel of every cell gathers
         #: through (dense/compact/banded/bitmap).  Part of the cell
         #: cache key and of ``config_dict()`` so exported cells say
@@ -390,18 +256,6 @@ class ExperimentRunner:
         #: model, while :meth:`measure_serial_mt` measures the real
         #: thread-pool matcher for cross-validation.
         self.mt_workers = mt_workers
-        #: Process count :meth:`run_grid` fans pending cells across
-        #: (<= 1 = in-process).  Every cell is a pure function of the
-        #: runner configuration — the dataset streams are seeded by
-        #: ``seed`` plus a *stable* per-label hash — so the merged grid
-        #: is byte-identical for any worker count.
-        self.workers = workers
-        #: Directory for content-keyed on-disk cell caching.  Fresh
-        #: cells are always written through when set; cached files are
-        #: only *read back* when ``resume`` is true, so an interrupted
-        #: 200 MB grid restarts from its completed cells.
-        self.cell_cache_dir = cell_cache_dir
-        self.resume = resume
         self.collector = collector
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional :class:`~repro.obs.KernelProfiler`: the requested
@@ -429,7 +283,6 @@ class ExperimentRunner:
             "shared_threads_per_block": self.shared_threads_per_block,
             "shared_chunk_bytes": self.shared_chunk_bytes,
             "wave_correction": self.wave_correction,
-            "tile_len": self.tile_len,
             "stt_backend": self.stt_backend,
             "mt_workers": self.mt_workers,
         }
@@ -447,112 +300,10 @@ class ExperimentRunner:
             self.shared_threads_per_block,
             self.shared_chunk_bytes,
             self.wave_correction,
-            self.tile_len,
             self.stt_backend,
             self.mt_workers,
             self.params,
         )
-
-    # -- cross-process / on-disk identity ----------------------------------
-    def export_config(self) -> Dict[str, Any]:
-        """Everything a worker process needs to rebuild this runner.
-
-        The device, CPU and cost-parameter dataclasses are exported as
-        nested dicts (they are frozen dataclasses of plain scalars), so
-        the reconstruction in :meth:`from_export` is exact and the
-        worker's cells are byte-identical to in-process ones.
-        Observers (collector/tracer/profiler) deliberately do not
-        cross the process boundary.
-        """
-        return {
-            "scale": self.scale,
-            "seed": self.seed,
-            "device_config": asdict(self.device_config),
-            "cpu": asdict(self.cpu),
-            "params": asdict(self.params),
-            "global_chunk_len": self.global_chunk_len,
-            "shared_threads_per_block": self.shared_threads_per_block,
-            "shared_chunk_bytes": self.shared_chunk_bytes,
-            "wave_correction": self.wave_correction,
-            "tile_len": self.tile_len,
-            "stt_backend": self.stt_backend,
-            "mt_workers": self.mt_workers,
-        }
-
-    @classmethod
-    def from_export(cls, export: Dict[str, Any]) -> "ExperimentRunner":
-        """Rebuild a runner from :meth:`export_config` output."""
-        from repro.gpu.config import TextureCacheConfig
-
-        dc = dict(export["device_config"])
-        dc["texture_cache"] = TextureCacheConfig(**dc["texture_cache"])
-        return cls(
-            scale=export["scale"],
-            seed=export["seed"],
-            device_config=DeviceConfig(**dc),
-            cpu=CpuConfig(**export["cpu"]),
-            params=CostParams(**export["params"]),
-            global_chunk_len=export["global_chunk_len"],
-            shared_threads_per_block=export["shared_threads_per_block"],
-            shared_chunk_bytes=export["shared_chunk_bytes"],
-            wave_correction=export["wave_correction"],
-            tile_len=export["tile_len"],
-            stt_backend=export["stt_backend"],
-            mt_workers=export["mt_workers"],
-        )
-
-    def cell_cache_key(
-        self, size_label: str, n_patterns: int, kernels: Sequence[str]
-    ) -> str:
-        """Content key of one cell's measurement.
-
-        The key covers the cache format version, the cell coordinates,
-        the kernel set, and the full runner configuration (seed and
-        scale determine the simulated corpus bytes deterministically —
-        the dataset streams use stable label hashes, not Python's
-        salted ``hash()``).  Two runners with equal keys produce
-        byte-identical cells, whatever the process or machine.
-        """
-        doc = {
-            "cache_version": CELL_CACHE_VERSION,
-            "cell": [size_label, int(n_patterns)],
-            "kernels": sorted(kernels),
-            "config": self.export_config(),
-        }
-        blob = json.dumps(doc, sort_keys=True).encode("ascii")
-        return hashlib.sha256(blob).hexdigest()
-
-    def _cell_cache_path(self, key: str) -> str:
-        if self.cell_cache_dir is None:
-            raise ExperimentError("no cell cache directory is configured")
-        return os.path.join(self.cell_cache_dir, f"cell-{key}.json")
-
-    def _load_cached_cell(self, key: str) -> Optional[CellResult]:
-        """The on-disk cell for *key*, or None (corrupt files = miss)."""
-        path = self._cell_cache_path(key)
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                doc = json.load(fh)
-            if doc.get("key") != key:
-                return None
-            return cell_from_dict(doc["cell"])
-        except (OSError, ValueError, KeyError, ExperimentError):
-            return None
-
-    def _store_cached_cell(self, key: str, cell: CellResult) -> None:
-        """Write-through one cell (atomic rename; parallel-safe)."""
-        os.makedirs(self.cell_cache_dir, exist_ok=True)
-        path = self._cell_cache_path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="ascii") as fh:
-            json.dump(
-                {"key": key, "cell": cell_to_dict(cell)},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
-        os.replace(tmp, path)
 
     # -- building blocks ---------------------------------------------------
     def _stt_block(self, dfa: DFA) -> Dict[str, Any]:
@@ -661,13 +412,12 @@ class ExperimentRunner:
             results = run_shared_variants(
                 dfa, cell.data, device, variants=SHARED_VARIANTS,
                 threads_per_block=self.shared_threads_per_block,
-                chunk_bytes=self.shared_chunk_bytes, tile_len=self.tile_len,
-                **common,
+                chunk_bytes=self.shared_chunk_bytes, **common,
             )
         elif family == "global":
             r = run_global_kernel(
                 dfa, cell.data, device, chunk_len=self.global_chunk_len,
-                tile_len=self.tile_len, **common,
+                **common,
             )
             results = {"global": r}
         else:
@@ -802,109 +552,15 @@ class ExperimentRunner:
         sizes: Sequence[str],
         pattern_counts: Sequence[int],
         kernels: Sequence[str] = ("serial", "global", "shared"),
-        *,
-        workers: Optional[int] = None,
-        cache_dir: Optional[str] = None,
-        resume: Optional[bool] = None,
     ) -> List[CellResult]:
-        """Run a (sub)grid, sizes-major.
+        """Run a (sub)grid through :meth:`run_cell`, sizes-major.
 
-        ``workers`` > 1 fans the *pending* cells (not served by the
-        in-memory or on-disk cache) across a process pool; each worker
-        rebuilds the runner from :meth:`export_config`, so results are
-        byte-identical to an in-process run for any worker count.  With
-        ``cache_dir`` set, every fresh cell is written through under
-        its :meth:`cell_cache_key`; with ``resume`` additionally true,
-        existing cache files are loaded instead of recomputed, which is
-        how an interrupted paper-scale grid restarts from its completed
-        cells.  The collector always sees cells in deterministic
-        sizes-major order (cache hits flagged), whatever order the pool
-        finished them in.  Pool-computed cells are not observed by the
-        ``profiler`` (their per-launch reports live in the workers).
+        A cell listed twice is run (and reported to the collector)
+        once.
         """
-        workers = self.workers if workers is None else workers
-        cache_dir = self.cell_cache_dir if cache_dir is None else cache_dir
-        resume = self.resume if resume is None else resume
-        unknown = set(kernels) - set(KERNEL_NAMES)
-        if unknown:
-            raise ExperimentError(
-                f"unknown kernels {sorted(unknown)}; valid: {KERNEL_NAMES}"
-            )
         specs = [(s, p) for s in sizes for p in pattern_counts]
-
-        use_disk = cache_dir is not None
-        prev_cache_dir = self.cell_cache_dir
-        self.cell_cache_dir = cache_dir
-        try:
-            mem_key = lambda s, p: (  # noqa: E731 - mirror of run_cell's key
-                s, p, tuple(sorted(kernels)), self._config_key(),
-            )
-            results: Dict[Tuple[str, int], CellResult] = {}
-            cached: Dict[Tuple[str, int], bool] = {}
-            pending: List[Tuple[str, int]] = []
-            for spec in specs:
-                if spec in results:
-                    continue
-                s, p = spec
-                hit = self._cell_cache.get(mem_key(s, p))
-                if hit is None and use_disk and resume:
-                    hit = self._load_cached_cell(
-                        self.cell_cache_key(s, p, kernels)
-                    )
-                    if hit is not None:
-                        self._cell_cache[mem_key(s, p)] = hit
-                if hit is not None:
-                    results[spec], cached[spec] = hit, True
-                else:
-                    pending.append(spec)
-
-            if pending and workers > 1 and len(pending) > 1:
-                from concurrent.futures import ProcessPoolExecutor
-
-                export = self.export_config()
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending)),
-                    initializer=_grid_worker_init,
-                    initargs=(export,),
-                ) as pool:
-                    futures = {
-                        spec: pool.submit(
-                            _grid_worker, spec[0], spec[1], tuple(kernels)
-                        )
-                        for spec in pending
-                    }
-                    for spec, fut in futures.items():
-                        cell = cell_from_dict(fut.result())
-                        self._cell_cache[mem_key(*spec)] = cell
-                        results[spec], cached[spec] = cell, False
-            else:
-                for spec in pending:
-                    s, p = spec
-                    with self.tracer.span(
-                        "run_cell",
-                        size=s,
-                        n_patterns=p,
-                        kernels=",".join(sorted(kernels)),
-                    ):
-                        cell = self._compute_cell(s, p, kernels)
-                    self._cell_cache[mem_key(s, p)] = cell
-                    results[spec], cached[spec] = cell, False
-
-            if use_disk:
-                for spec in pending:
-                    self._store_cached_cell(
-                        self.cell_cache_key(spec[0], spec[1], kernels),
-                        results[spec],
-                    )
-            if self.collector is not None:
-                seen = set()
-                for spec in specs:
-                    if spec in seen:
-                        continue
-                    seen.add(spec)
-                    self.collector.on_cell(
-                        results[spec], cached=cached[spec]
-                    )
-        finally:
-            self.cell_cache_dir = prev_cache_dir
-        return [results[spec] for spec in specs]
+        cells: Dict[Tuple[str, int], CellResult] = {}
+        for spec in specs:
+            if spec not in cells:
+                cells[spec] = self.run_cell(*spec, kernels)
+        return [cells[spec] for spec in specs]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.bench.calibrate import calibration_report
 from repro.bench.experiments import ABLATIONS, FIGURES, run_figure
@@ -46,6 +46,25 @@ def _parse_counts(value: Optional[str]) -> List[int]:
     if not value:
         return list(PAPER_PATTERN_COUNTS)
     return [int(s) for s in value.split(",") if s.strip()]
+
+
+def _read_inputs(
+    patterns_file: str, text_file: Optional[str] = None
+) -> Optional[Tuple[List[str], Optional[bytes]]]:
+    """The non-blank lines of *patterns_file* and the bytes of
+    *text_file* (None when not given), or None after printing
+    ``error: ...`` when either cannot be read."""
+    try:
+        with open(patterns_file, "r", encoding="latin-1") as fh:
+            patterns = [line.rstrip("\n") for line in fh if line.strip()]
+        text = None
+        if text_file is not None:
+            with open(text_file, "rb") as fh:
+                text = fh.read()
+    except OSError as exc:
+        print(f"error: {exc}")
+        return None
+    return patterns, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,11 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--text-file", required=True, help="input bytes")
     m.add_argument("--kernel", default="shared",
                    choices=["shared", "global", "pfac"])
-    m.add_argument(
-        "--tile-len", type=int, default=None,
-        help="step-tile size for the tiled engine (shared/global; "
-        "default 256 — results are identical for any value)",
-    )
     m.add_argument(
         "--stt-backend", default=DEFAULT_BACKEND, choices=STT_BACKENDS,
         help="STT storage backend the kernel gathers through (default: "
@@ -223,27 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "compact)",
     )
     be.add_argument(
-        "--tile-len", type=int, default=None,
-        help="step-tile size for the tiled engine (default 256 — "
-        "results are identical for any value)",
-    )
-    be.add_argument(
-        "--workers", type=int, default=1,
-        help="process count to fan grid cells across (default 1 = "
-        "in-process; results are byte-identical for any count)",
-    )
-    be.add_argument(
-        "--cache-dir", default=None,
-        help="directory for content-keyed on-disk cell caching (fresh "
-        "cells are always written through when set)",
-    )
-    be.add_argument(
-        "--resume", action="store_true",
-        help="with --cache-dir: load completed cells from the cache "
-        "instead of recomputing, so an interrupted grid restarts "
-        "where it left off",
-    )
-    be.add_argument(
         "--out", default="BENCH_smoke.json",
         help="output path for the cell trajectory (default BENCH_smoke.json)",
     )
@@ -285,16 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None,
         help="write the sweep as schema-validated bench cells "
         "(BENCH_*.json) to this path",
-    )
-    cpb.add_argument(
-        "--tile-len", type=int, default=None,
-        help="step-tile size for the tiled engine (default 256 — "
-        "results are identical for any value)",
-    )
-    cpb.add_argument(
-        "--workers", type=int, default=1,
-        help="process count to fan trade-off cells across (default 1 "
-        "= in-process; results are byte-identical for any count)",
     )
 
     cb = sub.add_parser(
@@ -349,20 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--stt-backend", default=DEFAULT_BACKEND, choices=STT_BACKENDS,
         help="STT storage backend for every GPU kernel (default compact)",
     )
-    ps.add_argument("--tile-len", type=int, default=None,
-                    help="step-tile size for the tiled engine")
-    ps.add_argument(
-        "--workers", type=int, default=1,
-        help="process count to fan cells across (default 1)",
-    )
-    ps.add_argument(
-        "--cache-dir", default=None,
-        help="directory for content-keyed on-disk cell caching",
-    )
-    ps.add_argument(
-        "--resume", action="store_true",
-        help="with --cache-dir: restart from completed cells",
-    )
     ps.add_argument(
         "--budget-seconds", type=float, default=900.0,
         help="exit 1 if the grid's wall-clock exceeds this "
@@ -405,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument(
         "--devices", type=int, default=2,
         help="simulated device count for --kernel multi_gpu (default 2)",
-    )
-    prof.add_argument(
-        "--tile-len", type=int, default=None,
-        help="step-tile size for the tiled engine (shared_mem/"
-        "global_only; default 256 — results are identical for any value)",
     )
     prof.add_argument(
         "--format", default="text", choices=["text", "json", "trace"],
@@ -679,8 +643,10 @@ def _cmd_dot(args) -> int:
     from repro.core import AhoCorasickAutomaton, PatternSet
     from repro.core.visualize import to_dot
 
-    with open(args.patterns_file, "r", encoding="latin-1") as fh:
-        patterns = [line.rstrip("\n") for line in fh if line.strip()]
+    inputs = _read_inputs(args.patterns_file)
+    if inputs is None:
+        return 2
+    patterns, _ = inputs
     ac = AhoCorasickAutomaton.build(PatternSet.from_strings(patterns))
     print(to_dot(ac, include_failure_edges=not args.no_failure_edges))
     return 0
@@ -1061,10 +1027,10 @@ def _cmd_match(args) -> int:
         run_shared_kernel,
     )
 
-    with open(args.patterns_file, "r", encoding="latin-1") as fh:
-        patterns = [line.rstrip("\n") for line in fh if line.strip()]
-    with open(args.text_file, "rb") as fh:
-        text = fh.read()
+    inputs = _read_inputs(args.patterns_file, args.text_file)
+    if inputs is None:
+        return 2
+    patterns, text = inputs
     if args.resilient:
         return _cmd_match_resilient(args, patterns, text)
     tracer = None
@@ -1078,10 +1044,7 @@ def _cmd_match(args) -> int:
         "global": run_global_kernel,
         "pfac": run_pfac_kernel,
     }[args.kernel]
-    kwargs = {"stt_backend": args.stt_backend}
-    if args.tile_len is not None and args.kernel in ("shared", "global"):
-        kwargs["tile_len"] = args.tile_len
-    result = kernel(dfa, text, tracer=tracer, **kwargs)
+    result = kernel(dfa, text, tracer=tracer, stt_backend=args.stt_backend)
     from repro.analysis import event_report
 
     print(f"kernel        : {result.name}")
@@ -1105,10 +1068,10 @@ def _cmd_stats(args) -> int:
     from repro.matcher import Matcher
     from repro.obs import Metrics, Tracer
 
-    with open(args.patterns_file, "r", encoding="latin-1") as fh:
-        patterns = [line.rstrip("\n") for line in fh if line.strip()]
-    with open(args.text_file, "rb") as fh:
-        text = fh.read()
+    inputs = _read_inputs(args.patterns_file, args.text_file)
+    if inputs is None:
+        return 2
+    patterns, text = inputs
     metrics = Metrics()
     tracer = Tracer()
     matcher = Matcher(
@@ -1150,10 +1113,10 @@ def _cmd_profile(args) -> int:
         print("error: --patterns-file and --text-file go together")
         return 2
     if args.patterns_file is not None:
-        with open(args.patterns_file, "r", encoding="latin-1") as fh:
-            patterns = [line.rstrip("\n") for line in fh if line.strip()]
-        with open(args.text_file, "rb") as fh:
-            data = fh.read()
+        inputs = _read_inputs(args.patterns_file, args.text_file)
+        if inputs is None:
+            return 2
+        patterns, data = inputs
         dfa = DFA.build(PatternSet.from_strings(patterns))
     else:
         from repro.workload.datasets import DatasetFactory
@@ -1165,11 +1128,6 @@ def _cmd_profile(args) -> int:
 
     profiler = KernelProfiler()
     tracer = Tracer() if args.format == "trace" else None
-    kernel_kwargs = {}
-    if args.tile_len is not None and args.kernel in (
-        "shared_mem", "global_only"
-    ):
-        kernel_kwargs["tile_len"] = args.tile_len
     reports = profile_kernel(
         args.kernel,
         dfa,
@@ -1178,7 +1136,6 @@ def _cmd_profile(args) -> int:
         tracer=tracer,
         scheme=args.scheme,
         n_devices=args.devices,
-        **kernel_kwargs,
     )
     if args.format == "json":
         print(json.dumps([r.as_dict() for r in reports], indent=2,
@@ -1238,19 +1195,12 @@ def _cmd_bench(args) -> int:
             print(f"error: unknown figure id {fid!r}; "
                   f"choose from {', '.join(sorted(known))}")
             return 2
-    if args.resume and not args.cache_dir:
-        print("error: --resume requires --cache-dir")
-        return 2
     collector = BenchCollector()
     runner = ExperimentRunner(
         scale=args.scale,
         seed=args.seed,
         collector=collector,
         stt_backend=args.stt_backend,
-        tile_len=args.tile_len,
-        workers=args.workers,
-        cell_cache_dir=args.cache_dir,
-        resume=args.resume,
     )
     sizes = _parse_sizes(args.sizes)
     counts = _parse_counts(args.patterns)
@@ -1286,8 +1236,6 @@ def _cmd_compressbench(args) -> int:
             min_ratio=args.min_ratio,
             gate_patterns=args.gate_patterns,
             out=args.out,
-            workers=args.workers,
-            tile_len=args.tile_len,
         )
     except ExperimentError as exc:
         print(f"FAIL: {exc}")
@@ -1311,22 +1259,14 @@ def _cmd_paperscale(args) -> int:
         print(f"error: unknown kernels {sorted(unknown)}; "
               f"valid: {', '.join(KERNEL_NAMES)}")
         return 2
-    if args.resume and not args.cache_dir:
-        print("error: --resume requires --cache-dir")
-        return 2
 
     collector = BenchCollector(label="paperscale")
     runner = ExperimentRunner(
         scale=args.scale,
         seed=args.seed,
         stt_backend=args.stt_backend,
-        tile_len=args.tile_len,
-        workers=args.workers,
-        cell_cache_dir=args.cache_dir,
-        resume=args.resume,
+        collector=collector,
     )
-    runner.collector = collector
-    collector.on_runner(runner.config_dict())
     sim_mb = runner.factory.sim_bytes_for(PAPER_SIZES[args.size]) / 1e6
     print(
         f"paperscale: {args.size} x {args.patterns} patterns "
@@ -1334,7 +1274,7 @@ def _cmd_paperscale(args) -> int:
     )
     t0 = time.perf_counter()
     try:
-        [cell] = runner.run_grid([args.size], [args.patterns], kernels)
+        cell = runner.run_cell(args.size, args.patterns, kernels)
     except ReproError as exc:
         print(f"FAIL: {exc}")
         return 1
@@ -1352,7 +1292,6 @@ def _cmd_paperscale(args) -> int:
     # throughput.  Validators tolerate unknown top-level keys.
     doc["wall_clock"] = {
         "grid_seconds": round(wall, 3),
-        "workers": args.workers,
         "host": platform.machine() or "unknown",
         "sim_bytes": int(cell.sim_bytes),
     }

@@ -649,7 +649,6 @@ def scan_segment(
     params: CostParams,
     *,
     stt_backend: str,
-    tile_len: int,
     tracer,
     extra_sink=None,
     gather_table=None,
@@ -664,8 +663,8 @@ def scan_segment(
     kept rows, so the DFA walks the input once and every modeled
     counter is byte-identical to the whole-trace computation.  The
     kept rows cost 4 B per trace cell; at the shared kernel's geometry
-    a window (chunk + overlap steps) fits in one default tile, and a
-    ``tile_len`` below the window keeps the rows of several tiles.
+    a window (chunk + overlap steps) fits in one default tile, and the
+    global kernel's longer windows keep the rows of several tiles.
 
     Every call scans; nothing is stored.  Every backend is functionally
     exact and leaves every counter unchanged — texture line ids always
@@ -689,7 +688,7 @@ def scan_segment(
     before = cost_of(dfa, table, backend)
     with tracer.span("ownership_filter") as sp:
         outcome = scan_tiled(
-            dfa, arr, plan=plan, tile_len=tile_len, stt_backend=backend,
+            dfa, arr, plan=plan, stt_backend=backend,
             gather_table=table, sinks=sinks,
         )
         sp.set(raw_hits=outcome.raw_hits, matches=len(outcome.matches))

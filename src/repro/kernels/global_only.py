@@ -29,7 +29,6 @@ from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.alphabet import encode
 from repro.core.chunking import plan_chunks, required_overlap
 from repro.core.dfa import DFA
-from repro.core.tiled import DEFAULT_TILE_LEN
 from repro.errors import LaunchError
 from repro.gpu.coalesce import CoalesceAccumulator, CoalesceSummary
 from repro.gpu.counters import EventCounters
@@ -100,7 +99,6 @@ def measure_global(
     threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
     params: Optional[CostParams] = None,
     tracer=None,
-    tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
     gather_table=None,
 ) -> GlobalMeasurement:
@@ -126,7 +124,6 @@ def measure_global(
         config,
         params,
         stt_backend=stt_backend,
-        tile_len=tile_len,
         tracer=coalesce(tracer),
         gather_table=gather_table,
         extra_sink=_InputLoadSink(config),
@@ -223,7 +220,6 @@ def run_global_kernel(
     threads_per_block: int = DEFAULT_THREADS_PER_BLOCK,
     params: Optional[CostParams] = None,
     tracer=None,
-    tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
 ) -> KernelResult:
     """Run the global-memory-only kernel on *data* (measure + price).
@@ -242,7 +238,6 @@ def run_global_kernel(
             threads_per_block=threads_per_block,
             params=params,
             tracer=tracer,
-            tile_len=tile_len,
             stt_backend=stt_backend,
             gather_table=gather_table,
         )

@@ -44,7 +44,7 @@ from repro.core.dfa import DFA
 
 # Re-exported: the benchmark's span recorders (perf/tracing.py) and
 # their smoke test look scan_tiled up on this module.
-from repro.core.tiled import DEFAULT_TILE_LEN, scan_tiled  # noqa: F401
+from repro.core.tiled import scan_tiled  # noqa: F401
 from repro.errors import LaunchError
 from repro.gpu.coalesce import (
     CoalesceSummary,
@@ -118,7 +118,6 @@ def measure_shared(
     params: Optional[CostParams] = None,
     stt_in_texture: bool = True,
     tracer=None,
-    tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
     gather_table=None,
 ) -> SharedMeasurement:
@@ -160,7 +159,6 @@ def measure_shared(
         config,
         params,
         stt_backend=stt_backend,
-        tile_len=tile_len,
         tracer=coalesce(tracer),
         gather_table=gather_table,
     )
@@ -362,7 +360,6 @@ def run_shared_kernel(
     params: Optional[CostParams] = None,
     stt_in_texture: bool = True,
     tracer=None,
-    tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
 ) -> KernelResult:
     """Run the shared-memory kernel on *data* (measure + price).
@@ -382,7 +379,6 @@ def run_shared_kernel(
         reserved_shared=reserved_shared,
         params=params,
         tracer=tracer,
-        tile_len=tile_len,
         stt_backend=stt_backend,
     )[scheme]
 
@@ -398,7 +394,6 @@ def run_shared_variants(
     reserved_shared: int = DEFAULT_RESERVED_SHARED,
     params: Optional[CostParams] = None,
     tracer=None,
-    tile_len: int = DEFAULT_TILE_LEN,
     stt_backend: str = DEFAULT_BACKEND,
 ) -> Dict[str, KernelResult]:
     """Price several shared-kernel variants from one launch's scan.
@@ -428,7 +423,6 @@ def run_shared_variants(
             params=params,
             stt_in_texture=in_texture,
             tracer=tracer,
-            tile_len=tile_len,
             stt_backend=stt_backend,
             gather_table=gather_table,
         )

@@ -93,16 +93,6 @@ class Matcher:
         which joins counters + timing + occupancy into a validated
         :class:`~repro.obs.ProfileReport` (independent of ``metrics``
         — profiling works with the metrics registry absent).
-    tile_len:
-        Step-tile size for the tiled streaming engine the GPU backend
-        runs on (default: :data:`repro.core.tiled.DEFAULT_TILE_LEN`);
-        results are byte-identical for every value.  It bounds only
-        the O(n_threads × tile_len) tile scratch: a gpu scan's texture
-        accounting keeps 4 B per lockstep cell (about 4 B per input
-        byte, plus the chunk overlap) until the scan ends, and the
-        device holds the ``stt_backend``'s gather arrays for the
-        matcher's lifetime (``compact``: n_states × n_classes × 3 B
-        below 2**16 states, × 5 B above).
     stt_backend:
         STT storage backend for the GPU backend's δ-gather: ``"dense"``,
         ``"compact"`` (default), ``"banded"``, or ``"bitmap"`` (see
@@ -110,7 +100,12 @@ class Matcher:
         byte-identical matches (pinned by the differential harness);
         the compressed families trade per-fetch arithmetic for a
         smaller modeled texture working set.  The CPU backends always
-        gather through the compact table.
+        gather through the compact table.  The device holds the
+        backend's gather arrays for the matcher's lifetime
+        (``compact``: n_states × n_classes × 3 B below 2**16 states,
+        × 5 B above), and a gpu scan's texture accounting keeps 4 B per
+        lockstep cell (about 4 B per input byte, plus the chunk
+        overlap) until the scan ends.
     """
 
     def __init__(
@@ -123,7 +118,6 @@ class Matcher:
         tracer=None,
         metrics=None,
         profiler=None,
-        tile_len: Optional[int] = None,
         stt_backend: str = DEFAULT_BACKEND,
         workers: int = 0,
     ):
@@ -144,7 +138,7 @@ class Matcher:
         self._setup(
             dfa, backend=backend, case_insensitive=case_insensitive,
             device=device, tracer=tracer, metrics=metrics, profiler=profiler,
-            tile_len=tile_len, stt_backend=stt_backend, workers=workers,
+            stt_backend=stt_backend, workers=workers,
         )
 
     # -- constructors ------------------------------------------------------
@@ -159,7 +153,6 @@ class Matcher:
         tracer=None,
         metrics=None,
         profiler=None,
-        tile_len: Optional[int] = None,
         stt_backend: str = DEFAULT_BACKEND,
         workers: int = 0,
     ) -> "Matcher":
@@ -175,13 +168,13 @@ class Matcher:
         obj._setup(
             dfa, backend=backend, case_insensitive=case_insensitive,
             device=device, tracer=tracer, metrics=metrics, profiler=profiler,
-            tile_len=tile_len, stt_backend=stt_backend, workers=workers,
+            stt_backend=stt_backend, workers=workers,
         )
         return obj
 
     def _setup(
         self, dfa: DFA, *, backend, case_insensitive, device, tracer,
-        metrics, profiler, tile_len, stt_backend, workers,
+        metrics, profiler, stt_backend, workers,
     ) -> None:
         """Everything both constructors share once the DFA exists."""
         self._dfa = dfa
@@ -191,7 +184,6 @@ class Matcher:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.profiler = profiler
-        self.tile_len = tile_len
         self.stt_backend = resolve_backend(stt_backend)
         self.workers = workers
         self.last_health = None
@@ -314,7 +306,6 @@ class Matcher:
 
     def _run_gpu_kernel(self, text: BytesLike):
         """GPU-backend scan: device selection shared by every GPU path."""
-        from repro.core.tiled import DEFAULT_TILE_LEN
         from repro.kernels.shared_mem import run_shared_kernel
 
         device = self._gpu_device()
@@ -323,9 +314,6 @@ class Matcher:
             text,
             device,
             tracer=self.tracer,
-            tile_len=(
-                self.tile_len if self.tile_len is not None else DEFAULT_TILE_LEN
-            ),
             stt_backend=self.stt_backend,
         )
 

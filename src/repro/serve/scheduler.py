@@ -236,20 +236,16 @@ class ScanScheduler:
         only the latest launch's report — the pipeline model prices
         kernel slices from the batch's observed launch and reads
         nothing older.
-    tile_len:
-        Step-tile size for the tiled streaming engine behind every
-        matcher this scheduler builds (default: the engine's).  It
-        bounds only the O(lanes × tile_len) tile scratch: a gpu batch's
-        texture accounting keeps 4 B per lockstep cell of the
-        concatenated buffer (about 4 B per input byte, plus the chunk
-        overlap) until its scan ends, and each resident matcher's
-        device holds its backend's gather arrays.
     stt_backend:
         STT storage backend (dense/compact/banded/bitmap) for every
         matcher this scheduler builds; also part of the automaton
         cache's resident key, so two schedulers sharing one cache
         under different backends never serve each other's tables.
-        Default ``compact``, the cache's default too.
+        Default ``compact``, the cache's default too.  Each resident
+        matcher's device holds its backend's gather arrays, and a gpu
+        batch's texture accounting keeps 4 B per lockstep cell of the
+        concatenated buffer (about 4 B per input byte, plus the chunk
+        overlap) until its scan ends.
     epochs:
         Optional :class:`~repro.serve.epoch.EpochManager` enabling the
         named-submission path (:meth:`submit_named`): a request
@@ -285,7 +281,6 @@ class ScanScheduler:
         tracer=None,
         metrics=None,
         profiler=None,
-        tile_len: Optional[int] = None,
         stt_backend: str = DEFAULT_BACKEND,
         epochs: Optional[EpochManager] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -301,7 +296,6 @@ class ScanScheduler:
             raise ReproError(f"max_batch must be >= 1, got {max_batch}")
         self.backend = backend
         self.max_batch = max_batch
-        self.tile_len = tile_len
         # Resolved once; every cache lookup/build and every matcher this
         # scheduler constructs uses the same STT storage backend, so the
         # cache's (digest, backend) keys stay coherent per scheduler.
@@ -580,7 +574,6 @@ class ScanScheduler:
             tracer=self.tracer,
             metrics=self.metrics,
             profiler=self.profiler,
-            tile_len=self.tile_len,
             stt_backend=self.stt_backend,
         )
         if self.backend == "gpu":
@@ -629,6 +622,11 @@ class ScanScheduler:
             try:
                 results = matcher.scan_many(texts)
             except ReproError:
+                # The device may hold a copy that failed its check:
+                # release it, so the next batch resolves through the
+                # host-read path (its owner's row-CRC check) and rebinds.
+                if matcher.device is not None:
+                    matcher.device.unbind_texture()
                 results = self._fallback_batch(requests, tickets)
                 report.fallback_request_ids = [
                     r.request_id

@@ -224,6 +224,31 @@ class TestStatsCommand:
         assert "backend=gpu" in captured.err
 
 
+class TestInputFiles:
+    """A file the CLI cannot read is an argument error, not a crash."""
+
+    @pytest.mark.parametrize("command", ["match", "stats", "profile"])
+    @pytest.mark.parametrize("missing", ["patterns", "text"])
+    def test_missing_file_exits_2(
+        self, data_files, tmp_path, capsys, command, missing
+    ):
+        pat, txt = data_files
+        gone = str(tmp_path / "gone.txt")
+        if missing == "patterns":
+            pat = gone
+        else:
+            txt = gone
+        rc = main([command, "--patterns-file", pat, "--text-file", txt])
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error:") and "gone.txt" in out
+
+    def test_dot_missing_patterns_file_exits_2(self, tmp_path, capsys):
+        rc = main(["dot", "--patterns-file", str(tmp_path / "gone.txt")])
+        assert rc == 2
+        assert capsys.readouterr().out.startswith("error:")
+
+
 class TestBenchCommand:
     def test_writes_validated_document(self, tmp_path, capsys):
         import json
@@ -290,3 +315,34 @@ class TestCpubenchCommand:
         )
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+class TestPaperscaleCommand:
+    def test_small_cell(self, tmp_path, capsys):
+        import json
+
+        out = tmp_path / "paperscale.json"
+        rc = main(
+            [
+                "paperscale", "--size", "50KB", "--patterns", "20",
+                "--kernels", "serial,shared", "--scale", "0.01",
+                "--seed", "7", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        assert doc["wall_clock"]["grid_seconds"] >= 0.0
+        assert len(doc["cells"]) == 1
+        stdout = capsys.readouterr().out
+        assert "paperscale" in stdout and "shared" in stdout
+
+    def test_budget_violation_fails(self, tmp_path):
+        rc = main(
+            [
+                "paperscale", "--size", "50KB", "--patterns", "20",
+                "--kernels", "serial", "--scale", "0.01", "--seed", "7",
+                "--out", str(tmp_path / "o.json"),
+                "--budget-seconds", "0.000001",
+            ]
+        )
+        assert rc != 0

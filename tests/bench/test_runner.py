@@ -133,6 +133,28 @@ class TestRunCell:
             ("1MB", 100),
         ]
 
+    def test_collector_sees_each_grid_cell_once_in_order(self):
+        seen = []
+
+        class Recorder:
+            def on_runner(self, config):
+                pass
+
+            def on_cell(self, cell, cached=False):
+                seen.append(((cell.size_label, cell.n_patterns), cached))
+
+        runner = ExperimentRunner(scale=0.001, seed=99, collector=Recorder())
+        runner.run_cell("1MB", 20, kernels=("serial",))
+        cells = runner.run_grid(["50KB", "1MB"], [20, 20], kernels=("serial",))
+        assert [(c.size_label, c.n_patterns) for c in cells] == [
+            ("50KB", 20), ("50KB", 20), ("1MB", 20), ("1MB", 20),
+        ]
+        assert seen == [
+            (("1MB", 20), False),
+            (("50KB", 20), False),
+            (("1MB", 20), True),
+        ]
+
     def test_matches_counted(self, runner):
         cell = runner.run_cell("50KB", 100, kernels=("shared", "global"))
         assert cell.kernels["shared"].matches == cell.kernels["global"].matches

@@ -36,7 +36,6 @@ def texture_traffic(dfa, text: bytes, chunk=32):
         gtx285(),
         CostParams(),
         stt_backend="dense",
-        tile_len=64,
         tracer=NULL_TRACER,
     )
     return seg.tex

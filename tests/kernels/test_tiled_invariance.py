@@ -1,11 +1,11 @@
-"""Tile-size and STT-backend invariance of the modeled kernels.
+"""STT-backend invariance of the modeled kernels.
 
-The tiled engine is an execution strategy, not a model change:
-for any tile size and any gather backend (dense, compact, ...), every
-kernel must produce byte-identical matches AND byte-identical modeled
-counters (texture hits/misses, coalescing transactions, bank-conflict
-excess) to the default configuration.  These tests pin that contract so
-future tiling work cannot silently shift the performance model.
+The gather backend is a storage strategy, not a model change: for any
+backend (dense, compact, ...), every kernel must produce byte-identical
+matches AND byte-identical modeled counters (texture hits/misses,
+coalescing transactions, bank-conflict excess) to the default
+configuration.  These tests pin that contract so future storage work
+cannot silently shift the performance model.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from repro.gpu import Device
 from repro.kernels import run_global_kernel, run_pfac_kernel, run_shared_kernel
 
 TEXT = b"she sells sea shells by the seashore; ushers saw hers " * 120
-TILE_LENS = [7, 64, 256]
 
 
 def _counters_equal(a, b):
@@ -27,42 +26,30 @@ def _counters_equal(a, b):
 
 
 class TestGlobalKernel:
-    def test_tile_len_and_compact_invariance(self, paper_dfa, paper_patterns):
+    def test_compact_invariance(self, paper_dfa, paper_patterns):
         base = run_global_kernel(paper_dfa, TEXT, Device(), chunk_len=100)
         oracle = set(naive_find_all(paper_patterns, TEXT))
         assert base.matches.as_set() == oracle
-        for tile_len in TILE_LENS:
-            for backend in ("dense", "compact"):
-                r = run_global_kernel(
-                    paper_dfa,
-                    TEXT,
-                    Device(),
-                    chunk_len=100,
-                    tile_len=tile_len,
-                    stt_backend=backend,
-                )
-                assert r.matches == base.matches
-                _counters_equal(r.counters, base.counters)
-                assert r.timing.seconds == base.timing.seconds
+        for backend in ("dense", "compact"):
+            r = run_global_kernel(
+                paper_dfa, TEXT, Device(), chunk_len=100, stt_backend=backend
+            )
+            assert r.matches == base.matches
+            _counters_equal(r.counters, base.counters)
+            assert r.timing.seconds == base.timing.seconds
 
 
 class TestSharedKernel:
     @pytest.mark.parametrize("scheme", ["diagonal", "naive"])
-    def test_tile_len_and_compact_invariance(self, english_dfa, scheme):
+    def test_compact_invariance(self, english_dfa, scheme):
         base = run_shared_kernel(english_dfa, TEXT, Device(), scheme=scheme)
-        for tile_len in TILE_LENS:
-            for backend in ("dense", "compact"):
-                r = run_shared_kernel(
-                    english_dfa,
-                    TEXT,
-                    Device(),
-                    scheme=scheme,
-                    tile_len=tile_len,
-                    stt_backend=backend,
-                )
-                assert r.matches == base.matches
-                _counters_equal(r.counters, base.counters)
-                assert r.timing.seconds == base.timing.seconds
+        for backend in ("dense", "compact"):
+            r = run_shared_kernel(
+                english_dfa, TEXT, Device(), scheme=scheme, stt_backend=backend
+            )
+            assert r.matches == base.matches
+            _counters_equal(r.counters, base.counters)
+            assert r.timing.seconds == base.timing.seconds
 
 
 class TestPfacKernel:
@@ -93,26 +80,19 @@ class TestSttBackendInvariance:
     """
 
     @pytest.mark.parametrize("backend", STT_BACKENDS)
-    @pytest.mark.parametrize("tile_len", TILE_LENS)
-    def test_counters_invariant_all_kernels(
-        self, english_dfa, backend, tile_len
-    ):
-        base_shared = run_shared_kernel(
-            english_dfa, TEXT, Device(), tile_len=tile_len
-        )
+    def test_counters_invariant_all_kernels(self, english_dfa, backend):
+        base_shared = run_shared_kernel(english_dfa, TEXT, Device())
         r = run_shared_kernel(
-            english_dfa, TEXT, Device(),
-            tile_len=tile_len, stt_backend=backend,
+            english_dfa, TEXT, Device(), stt_backend=backend
         )
         assert r.matches == base_shared.matches
         _counters_equal(r.counters, base_shared.counters)
 
         base_global = run_global_kernel(
-            english_dfa, TEXT, Device(), chunk_len=100, tile_len=tile_len
+            english_dfa, TEXT, Device(), chunk_len=100
         )
         g = run_global_kernel(
-            english_dfa, TEXT, Device(),
-            chunk_len=100, tile_len=tile_len, stt_backend=backend,
+            english_dfa, TEXT, Device(), chunk_len=100, stt_backend=backend
         )
         assert g.matches == base_global.matches
         _counters_equal(g.counters, base_global.counters)

@@ -10,6 +10,10 @@ verified accessor, which evicts or rebuilds a corrupted table.
 The corruption flips the match flag (column 256) of the state "she"
 enters: every fused backend's bind reads ``stt.match_flags``, so a
 skipped re-verify silently drops the "she" and "he" matches there.
+
+A device copy that fails its launch check is released with the failed
+batch, so the next batch rebinds from the verified host table instead
+of failing the same check and falling back again.
 """
 
 from __future__ import annotations
@@ -124,3 +128,19 @@ def test_host_read_reverifies_host_table(path, read):
     results = served.serve()
     assert_exact(results)
     assert served.healed() == 1
+
+
+@pytest.mark.parametrize("path", ["anonymous", "named"])
+def test_failed_binding_is_released(path):
+    served = Served(path)
+    served.serve()
+    served.corrupt_device_block()
+    reports = []
+    for _ in range(3):
+        assert_exact(served.serve())
+        reports.append(served.sched.reports[-1])
+    fallback, rebind, resident = reports
+    assert fallback.fallback_request_ids
+    assert not rebind.bind_skipped and not rebind.fallback_request_ids
+    assert resident.bind_skipped and not resident.fallback_request_ids
+    assert served.healed() == 0
