@@ -75,6 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproduction of 'High Throughput Parallel Implementation of "
             "Aho-Corasick Algorithm on a GPU' (IPPS 2013)"
         ),
+        allow_abbrev=False,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -503,8 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hs.add_argument(
         "--min-speedup", type=float, default=5.0,
-        help="acceptance bar: delta builds at <= 1%% churn must beat "
-        "full rebuilds by this factor (default 5.0; 0 disables)",
+        help="acceptance bar: at <= 1%% churn the swap's build (one "
+        "DFA.build plus row CRCs) must beat the trie path plus the same "
+        "CRC pass by this factor (default 5.0; 0 disables)",
     )
     hs.add_argument(
         "--skip-rebuild", action="store_true",
@@ -553,6 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the per-tenant slo_* / slodip_* families as "
         "schema-validated bench cells (BENCH_*.json) to this path",
     )
+    # Long options must be spelled out in full: with abbreviations,
+    # `match --patterns x` would be read as `--patterns-file x`.
+    for subparser in sub.choices.values():
+        subparser.allow_abbrev = False
     return p
 
 

@@ -31,7 +31,8 @@ that the kernel pricing layer consumes.
 
 A gpu launch does not gather through the DFA's memoized tables: its
 device binds fresh copies of every array the backend's scan reads
-(:func:`device_gather_table`), each named by a :class:`GatherArray`,
+(:func:`device_gather_table`; ``dense`` and ``compact`` fuse them
+straight from the dense STT), each named by a :class:`GatherArray`,
 and block-checksums them (:meth:`repro.gpu.device.Device.bind_texture`).
 """
 
@@ -298,25 +299,26 @@ def device_gather_table(dfa, name: str, dtype) -> Tuple[object, List[GatherArray
     Returns ``(table, arrays)``: *table* is what
     :class:`~repro.core.tiled.GatherKernel` gathers through and
     *arrays* names each array it reads.  ``dense`` and ``compact`` get
-    :func:`~repro.core.compact.fuse_columns` of the dense STT or of the
-    DFA's compacted table, in *dtype* — the builder behind the DFA's
-    fused memos, run once more without filling them — and ``banded``
-    and ``bitmap`` a fresh adapter over copies of the DFA's memoized
-    adapter's arrays.  Either way one copy, owned by the caller (a
-    device binding).
+    :func:`~repro.core.compact.fuse_columns` in *dtype*, fused straight
+    from the dense STT — ``compact`` selects its class columns from it,
+    all-ROOT column first — so the copy holds only bytes the dense
+    STT's row CRCs cover, and the DFA's memos are neither read nor
+    filled.  ``banded`` and ``bitmap`` get a fresh adapter over copies
+    of the DFA's memoized adapter's arrays.  Either way one copy, owned
+    by the caller (a device binding).
     """
-    from repro.core.compact import fuse_columns
+    from repro.core.compact import ByteClassMap, fuse_columns
 
     name = resolve_backend(name)
     if name in ("banded", "bitmap"):
         adapter = dfa.gather_table(name).copy()
         return adapter, adapter.arrays()
-    flags = dfa.stt.match_flags
+    dense, flags = dfa.stt.next_states, dfa.stt.match_flags
     if name == "dense":
-        fused = fuse_columns(dfa.stt.next_states, flags, dtype)
+        fused = fuse_columns(dense, flags, dtype)
     else:
-        compact = dfa.gather_table(name)
-        fused = fuse_columns(compact.table, flags, dtype, compact.class_of)
+        cmap = ByteClassMap.from_patterns(dfa.patterns)
+        fused = fuse_columns(dense, flags, dtype, cmap.class_of, cmap.used)
     return fused, [
         GatherArray(label, data, index)
         for label, data, index in zip(

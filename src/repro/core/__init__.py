@@ -9,14 +9,7 @@ serial matchers and the chunk-overlap machinery both GPU kernels use.
 from repro.core.alphabet import ALPHABET_SIZE, MATCH_COLUMN, STT_COLUMNS, encode
 from repro.core.automaton import AhoCorasickAutomaton, naive_find_all
 from repro.core.chunking import ChunkPlan, plan_chunks, required_overlap
-from repro.core.delta import (
-    BuildStats,
-    BuiltVersion,
-    DeltaBuilder,
-    PatternDelta,
-    canonical_fingerprint,
-    dfa_equivalent,
-)
+from repro.core.delta import BuiltVersion, DeltaBuilder, PatternDelta
 from repro.core.dfa import DFA, build_dfa
 from repro.core.integrity import (
     crc32_bytes,
@@ -47,12 +40,9 @@ from repro.core.stt import STT, STTStats
 from repro.core.trie import Trie
 
 __all__ = [
-    "BuildStats",
     "BuiltVersion",
     "DeltaBuilder",
     "PatternDelta",
-    "canonical_fingerprint",
-    "dfa_equivalent",
     "crc32_bytes",
     "stt_row_checksums",
     "verify_row_checksums",

@@ -97,20 +97,28 @@ def compact_columns(dense: np.ndarray, cmap: ByteClassMap) -> np.ndarray:
     return np.ascontiguousarray(table)
 
 
+#: Rows of the source table :func:`fuse_columns` transposes per step.
+_FUSE_BLOCK_ROWS = 1024
+
+
 def fuse_columns(
     table: np.ndarray,
     match_flags: np.ndarray,
     dtype,
     byte_class: Optional[np.ndarray] = None,
+    used: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(col_flat, cls_lut, flag_flat)`` over an ``(n_states, k)`` table.
 
     The fused column-major gather tables
     :meth:`repro.core.tiled.GatherKernel.step_fused` reads:
 
-    * ``col_flat[c * n_states + s] == table[s, c]``, in *dtype* — the
-      table transposed and flattened, so a whole class column is
-      contiguous;
+    * ``col_flat[c * n_states + s]`` — column ``c`` of the fused table
+      at state ``s``, in *dtype*, so a whole column is contiguous.  The
+      columns are *table*'s own, or, given *used* (the sorted used
+      bytes of a :class:`ByteClassMap`), the alphabet compaction of a
+      dense *table*: column 0 all ``ROOT`` (the other class) and column
+      ``c`` the dense column of byte ``used[c - 1]``;
     * ``cls_lut[b] == byte_class[b] * n_states`` (int64; *byte_class*
       defaults to the identity, the dense table's columns) — the
       byte→column base offset, pre-scaled so the per-step index is a
@@ -119,18 +127,34 @@ def fuse_columns(
       names, index-aligned so the step's match test rides the same
       fused index.
 
+    Both arrays are filled one block of source rows at a time, so
+    nothing the size of the result is allocated on the way: no
+    compacted row-major table, no int64 copy of ``col_flat``.
+
     The one builder of these arrays: the DFA's and the
     :class:`CompactSTT`'s memos freeze and keep what it returns, and a
-    device binding owns a fresh, writable set
-    (:func:`repro.compress.backend.device_gather_table`).
+    device binding owns a fresh, writable set built straight from the
+    dense STT (:func:`repro.compress.backend.device_gather_table`).
     """
     n_states = table.shape[0]
     if byte_class is None:
         byte_class = np.arange(ALPHABET_SIZE, dtype=np.int64)
-    col_flat = np.ascontiguousarray(table.T, dtype=dtype).reshape(-1)
-    cls_lut = byte_class * np.int64(n_states)
+    first = 0 if used is None else 1
+    n_cols = table.shape[1] if used is None else used.size + 1
     flags = np.asarray(match_flags) != 0
-    flag_flat = np.ascontiguousarray(flags[table.T]).reshape(-1)
+    col_flat = np.empty(n_cols * n_states, dtype=dtype)
+    flag_flat = np.empty(col_flat.size, dtype=bool)
+    cols = col_flat.reshape(n_cols, n_states)
+    col_flags = flag_flat.reshape(n_cols, n_states)
+    if used is not None:
+        cols[0] = ROOT
+        col_flags[0] = flags[ROOT]
+    for r0 in range(0, n_states, _FUSE_BLOCK_ROWS):
+        r1 = min(r0 + _FUSE_BLOCK_ROWS, n_states)
+        block = table[r0:r1] if used is None else table[r0:r1, used]
+        cols[first:, r0:r1] = block.T
+        col_flags[first:, r0:r1] = flags[block.T]
+    cls_lut = byte_class * np.int64(n_states)
     return col_flat, cls_lut, flag_flat
 
 

@@ -1,93 +1,41 @@
-"""Incremental (delta) automaton builds for rule hot-swap.
+"""Rule versions and the deltas between them, for rule hot-swap.
 
 A production IDS updates its dictionary continuously: a few rules are
-added or withdrawn while the other ~20,000 stay put.  Rebuilding the
-whole automaton from scratch on every update costs seconds at the
-paper's 20k-pattern scale — :class:`DeltaBuilder` instead reuses the
-existing trie/goto structure and recomputes only the failure links and
-STT rows the delta actually perturbs.
+added or withdrawn while the other ~20,000 stay put.  A
+:class:`PatternDelta` is one such edit, checksummed for transport; the
+registry (:mod:`repro.serve.registry`) records it as the lineage of the
+version it derives.
 
-How the incremental build works
--------------------------------
-
-The from-scratch construction (:meth:`repro.core.dfa.DFA.from_automaton`)
-rests on two recurrences, both resolved in depth order because failure
-targets are strictly shallower than their state:
-
-* ``fail(c) = δ(fail(parent(c)), symbol(c))`` — a child's failure state
-  is the DFA move of its parent's failure state on the child's symbol;
-* ``row(s) = row(fail(s))`` overlaid with ``s``'s own trie edges.
-
-The delta build mutates the trie in place (copy-on-write, so the base
-version survives for rollback), then replays exactly those recurrences
-**level by level with vectorized NumPy gathers**, writing a row only
-when it provably changed: a row is *dirty* iff the state is new, its
-own edges changed, its failure link changed, or its failure state's row
-is dirty.  Clean rows (typically >50% even for churn concentrated near
-the root) are byte-for-byte reused from the base table, as are their
-CRC32 row checksums.
-
-Removed patterns may leave *husk* rows: a pruned state's id is kept in
-the table (recycled for new states first) rather than renumbering every
-later state, which would force a full-table rewrite.  Husks are
-unreachable from the root — their parent edge is deleted — so they can
-never influence a scan; they are canonicalized to a copy of the root
-row with no outputs so repeated deltas stay deterministic.
-
-Equivalence with a from-scratch build
--------------------------------------
-
-For an add-only delta the incremental build is **byte-identical** to a
-from-scratch build of the new dictionary: state ids follow insertion
-order in both.  Once patterns are removed the two builds number states
-differently (the scratch build never allocates the removed states), so
-"identical STT" is only meaningful up to state renumbering.
-:func:`canonical_fingerprint` computes a renumbering-invariant per-state
-checksum vector by BFS over the DFA graph with byte-ascending tie-break
-(a deterministic canonical order for any trie-rooted DFA); two builds
-are equivalent iff their fingerprints match, which
-:func:`dfa_equivalent` checks and ``DeltaBuilder.apply(validate=True)``
-enforces.  Match results are state-numbering-free, so equivalence of
-fingerprints implies byte-identical match sets.
+Every version is compiled the same way, whatever produced it: one
+:meth:`DFA.build <repro.core.dfa.DFA.build>` of the new dictionary
+(one NumPy pass per trie depth) plus its STT row checksums, which the
+swap's verify gate and every later host read check the table against.
+:class:`DeltaBuilder` is those two steps.  A from-scratch build of the
+20k-pattern dictionary takes about 0.11 s on a 2-vCPU host, plus about
+0.07 s of row checksums, and its output is byte-identical to the trie
+reference (:meth:`DFA.from_automaton
+<repro.core.dfa.DFA.from_automaton>`) — no renumbered states, no
+unreachable rows, nothing carried over from the base version.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.alphabet import (
-    ALPHABET_SIZE,
-    MATCH_COLUMN,
-    STATE_DTYPE,
-    STT_COLUMNS,
-)
-from repro.core.automaton import AhoCorasickAutomaton
 from repro.core.dfa import DFA
-from repro.core.integrity import CHECKSUM_DTYPE, stt_row_checksums
+from repro.core.integrity import stt_row_checksums
 from repro.core.pattern_set import PatternSet
-from repro.core.stt import STT
-from repro.core.trie import ROOT
 from repro.errors import DeltaError, IntegrityError, SerializationError
 
-__all__ = [
-    "PatternDelta",
-    "BuildStats",
-    "BuiltVersion",
-    "DeltaBuilder",
-    "canonical_order",
-    "canonical_fingerprint",
-    "dfa_equivalent",
-]
+__all__ = ["PatternDelta", "BuiltVersion", "DeltaBuilder"]
 
 _DELTA_MAGIC = b"REPRODLT"
 _DELTA_VERSION = 1
-_ROW_BYTES = STT_COLUMNS * 4
 
 
 def _as_bytes(value: Union[bytes, bytearray, str], what: str) -> bytes:
@@ -107,10 +55,9 @@ class PatternDelta:
     add/remove sets, at least one change) and again against the base
     set it is applied to (:meth:`apply_to`).
 
-    The canonical application order — surviving base patterns in their
-    original id order, then added patterns — matches what a from-scratch
-    build of the new dictionary would use, so pattern ids agree between
-    the delta-built and scratch-built automata.
+    The application order — surviving base patterns in their original
+    id order, then added patterns — fixes the new version's pattern
+    ids, so every replay of a delta numbers the patterns alike.
     """
 
     added: Tuple[bytes, ...] = ()
@@ -148,26 +95,36 @@ class PatternDelta:
     def apply_to(self, patterns: PatternSet) -> PatternSet:
         """The new dictionary: kept base patterns (id order) + added.
 
+        The kept patterns are *patterns*' own read-only arrays, not
+        re-encoded copies, so every version the registry keeps shares
+        the unchanged patterns with its parent.
+
         Raises :class:`~repro.errors.DeltaError` if a removed pattern is
-        absent from *patterns* or an added one is already present.
+        absent from *patterns*, an added one is already present, or the
+        delta would leave the set empty.
         """
-        base = patterns.as_bytes_list()
-        base_set = set(base)
-        missing = [p for p in self.removed if p not in base_set]
+        base = {p.tobytes(): i for i, p in enumerate(patterns)}
+        missing = [p for p in self.removed if p not in base]
         if missing:
             raise DeltaError(
                 f"delta removes {len(missing)} pattern(s) not in the base "
                 f"set (first: {missing[0]!r})"
             )
-        present = [p for p in self.added if p in base_set]
+        present = [p for p in self.added if p in base]
         if present:
             raise DeltaError(
                 f"delta adds {len(present)} pattern(s) already in the base "
                 f"set (first: {present[0]!r})"
             )
-        removed_set = set(self.removed)
-        kept = [p for p in base if p not in removed_set]
-        return PatternSet.from_bytes(kept + list(self.added))
+        gone = {base[p] for p in self.removed}
+        kept = [arr for i, arr in enumerate(patterns) if i not in gone]
+        for pat in self.added:
+            arr = np.frombuffer(pat, dtype=np.uint8)
+            arr.setflags(write=False)
+            kept.append(arr)
+        if not kept:
+            raise DeltaError("delta would leave the pattern set empty")
+        return PatternSet._from_validated_arrays(kept)
 
     # -- serialization ---------------------------------------------------
 
@@ -234,585 +191,38 @@ class PatternDelta:
 
 
 @dataclass(frozen=True)
-class BuildStats:
-    """How a :class:`BuiltVersion` was produced.
-
-    ``dirty_rows`` / ``reused_rows`` quantify the incremental build's
-    leverage: reused rows are byte-for-byte copies from the base table
-    (checksums included) that the level sweep proved unchanged.
-    """
-
-    mode: str  # "full" | "delta"
-    seconds: float
-    n_states: int
-    live_states: int
-    husk_states: int
-    dirty_rows: int
-    reused_rows: int
-    churn: int = 0
-
-
 class BuiltVersion:
-    """A compiled automaton plus the structure needed to delta it again.
+    """One compiled rule version: the dictionary, its DFA and row CRCs.
 
-    Beyond the :class:`~repro.core.dfa.DFA` every consumer scans with,
-    this retains the trie (children/depth/parent/symbol/terminal), the
-    failure vector, per-state output tuples, per-state output counts,
-    and the STT row-checksum vector — everything
-    :meth:`DeltaBuilder.apply` needs to build the *next* version without
-    touching unaffected states.  All retained structures are treated as
-    immutable: ``apply`` copies-on-write, so a base version keeps
-    serving (and can be rolled back to) while its successor is built.
+    ``row_checksums`` are the STT's per-row CRC32s at build time
+    (:func:`~repro.core.integrity.stt_row_checksums`): the swap's verify
+    gate and every later host read of the table check it against them.
     """
 
-    __slots__ = (
-        "patterns",
-        "dfa",
-        "row_checksums",
-        "children",
-        "terminal",
-        "depth",
-        "parent",
-        "symbol",
-        "fail",
-        "outputs",
-        "counts",
-        "husks",
-        "stats",
-    )
-
-    def __init__(
-        self,
-        patterns: PatternSet,
-        dfa: DFA,
-        row_checksums: np.ndarray,
-        children: List[Dict[int, int]],
-        terminal: List[Tuple[int, ...]],
-        depth: np.ndarray,
-        parent: np.ndarray,
-        symbol: np.ndarray,
-        fail: np.ndarray,
-        outputs: List[Tuple[int, ...]],
-        counts: np.ndarray,
-        husks: Tuple[int, ...],
-        stats: BuildStats,
-    ) -> None:
-        self.patterns = patterns
-        self.dfa = dfa
-        self.row_checksums = row_checksums
-        self.children = children
-        self.terminal = terminal
-        self.depth = depth
-        self.parent = parent
-        self.symbol = symbol
-        self.fail = fail
-        self.outputs = outputs
-        self.counts = counts
-        self.husks = husks
-        self.stats = stats
-
-    @property
-    def n_states(self) -> int:
-        """Rows in the STT, husks included."""
-        return self.dfa.n_states
-
-    @property
-    def live_states(self) -> int:
-        """Reachable states (rows that can influence a scan)."""
-        return self.n_states - len(self.husks)
-
-    @property
-    def garbage_fraction(self) -> float:
-        """Husk rows as a fraction of the table — compaction trigger."""
-        return len(self.husks) / self.n_states if self.n_states else 0.0
+    patterns: PatternSet
+    dfa: DFA
+    row_checksums: np.ndarray
 
 
 class DeltaBuilder:
-    """Full and incremental automaton builds producing :class:`BuiltVersion`.
+    """Builds every rule version with one :meth:`DFA.build`.
 
-    ``full`` is the from-scratch path (trie insert, failure BFS, DFA
-    row fill);  ``apply`` is the incremental path described in the
-    module docstring.  Both produce the same artifact type so the swap
-    layer can fall back to a full rebuild whenever a delta is rejected.
+    ``full`` compiles a dictionary; ``apply`` compiles the dictionary a
+    delta derives from a built version.  Both return a
+    :class:`BuiltVersion`, and neither reads the base version's tables.
     """
 
-    #: Husk fraction above which callers should prefer a full rebuild
-    #: (reclaims the garbage rows).  Exposed for the epoch manager.
-    COMPACTION_THRESHOLD = 0.10
+    @staticmethod
+    def full(patterns: PatternSet) -> BuiltVersion:
+        """``DFA.build(patterns)`` plus its STT row checksums."""
+        dfa = DFA.build(patterns)
+        return BuiltVersion(patterns, dfa, stt_row_checksums(dfa.stt))
 
     @staticmethod
-    def full(patterns: PatternSet) -> "BuiltVersion":
-        """From-scratch build retaining delta-ready structure."""
-        t0 = time.perf_counter()
-        ac = AhoCorasickAutomaton.build(patterns)
-        dfa = DFA.from_automaton(ac)
-        trie = ac.trie
-        n = trie.n_states
-        counts = np.diff(dfa.out_offsets)
-        row_checksums = stt_row_checksums(dfa.stt)
-        stats = BuildStats(
-            mode="full",
-            seconds=time.perf_counter() - t0,
-            n_states=n,
-            live_states=n,
-            husk_states=0,
-            dirty_rows=n,
-            reused_rows=0,
-        )
-        return BuiltVersion(
-            patterns=patterns,
-            dfa=dfa,
-            row_checksums=row_checksums,
-            children=trie.children,
-            terminal=[tuple(t) for t in trie.terminal],
-            depth=np.asarray(trie.depth, dtype=np.int32),
-            parent=np.asarray(trie.parent, dtype=np.int32),
-            symbol=np.asarray(trie.symbol, dtype=np.int32),
-            fail=np.asarray(ac.fail, dtype=np.int32),
-            outputs=list(ac.outputs),
-            counts=np.ascontiguousarray(counts, dtype=np.int64),
-            husks=(),
-            stats=stats,
-        )
+    def apply(base: BuiltVersion, delta: PatternDelta) -> BuiltVersion:
+        """The build of ``delta.apply_to(base.patterns)``.
 
-    @staticmethod
-    def apply(
-        base: "BuiltVersion",
-        delta: PatternDelta,
-        *,
-        validate: bool = False,
-    ) -> "BuiltVersion":
-        """Incrementally build the automaton for ``delta.apply_to(base)``.
-
-        With ``validate=True`` the result is fingerprint-compared
-        against a from-scratch build of the new dictionary (expensive —
-        meant for tests and audit runs, not the swap hot path).
-
-        Raises :class:`~repro.errors.DeltaError` on an invalid delta or
-        if an internal consistency check fails; the base version is
-        never mutated either way.
+        Raises :class:`~repro.errors.DeltaError` for a delta that does
+        not fit *base*'s dictionary; *base* is never modified.
         """
-        t0 = time.perf_counter()
-
-        # -- validate the delta against the base trie -------------------
-        # Walking the trie per edited pattern replaces the obvious
-        # set-of-keys membership check: O(churn × pattern length)
-        # instead of O(dictionary), which matters at 20k patterns.  A
-        # pattern is in the base set iff its full path exists and the
-        # end state is terminal; its pid is that state's terminal entry
-        # (end states are unique per pattern, so the tuple has one id).
-        base_children = base.children
-        base_terminal = base.terminal
-        removed_pids: List[int] = []
-        removed_ends: List[int] = []
-        for pat in delta.removed:
-            s: Optional[int] = ROOT
-            for b in pat:
-                s = base_children[s].get(b)
-                if s is None:
-                    break
-            if s is None or not base_terminal[s]:
-                raise DeltaError(
-                    f"delta removes a pattern not in the base set: {pat!r}"
-                )
-            removed_pids.append(base_terminal[s][0])
-            removed_ends.append(s)
-        for pat in delta.added:
-            s = ROOT
-            for b in pat:
-                s = base_children[s].get(b)
-                if s is None:
-                    break
-            if s is not None and base_terminal[s]:
-                raise DeltaError(
-                    f"delta adds a pattern already in the base set: {pat!r}"
-                )
-
-        # -- assemble the new dictionary --------------------------------
-        # Equivalent to ``delta.apply_to(base.patterns)`` but splices the
-        # base set's already-encoded arrays instead of re-encoding ~20k
-        # patterns, which would dominate the delta budget.
-        base_arrays = tuple(base.patterns)
-        base_npat = len(base_arrays)
-        if removed_pids:
-            keep_mask = np.ones(base_npat, dtype=bool)
-            keep_mask[np.asarray(removed_pids, dtype=np.int64)] = False
-            kept_arrays = [
-                arr
-                for arr, keep in zip(base_arrays, keep_mask.tolist())
-                if keep
-            ]
-        else:
-            kept_arrays = list(base_arrays)
-        if not kept_arrays and not delta.added:
-            raise DeltaError("delta would leave the pattern set empty")
-        added_arrays = []
-        for pat in delta.added:
-            arr = np.frombuffer(pat, dtype=np.uint8)
-            arr.setflags(write=False)
-            added_arrays.append(arr)
-        new_patterns = PatternSet._from_validated_arrays(
-            kept_arrays + added_arrays
-        )
-
-        # -- copy-on-write working state --------------------------------
-        n_old = base.n_states
-        children = list(base.children)
-        terminal = list(base.terminal)
-        outputs = list(base.outputs)
-        # Preallocate growth room: each added byte creates at most one
-        # new state, so the trie arrays never reallocate mid-insert.
-        budget = sum(len(p) for p in delta.added)
-        depth = np.empty(n_old + budget, dtype=np.int32)
-        parent = np.empty(n_old + budget, dtype=np.int32)
-        symbol = np.empty(n_old + budget, dtype=np.int32)
-        depth[:n_old] = base.depth
-        parent[:n_old] = base.parent
-        symbol[:n_old] = base.symbol
-        copied: set = set()
-
-        def cow(s: int) -> None:
-            if s not in copied:
-                children[s] = dict(children[s])
-                copied.add(s)
-
-        echg_set: set = set()  # states whose own trie edges changed
-        tchg_set: set = set()  # states whose terminal set changed
-        dead: set = set(base.husks)
-
-        # -- removals: clear terminals, prune childless tails -----------
-        for s in removed_ends:
-            terminal[s] = ()
-            tchg_set.add(s)
-            while s != ROOT and not children[s] and not terminal[s]:
-                par = int(parent[s])
-                cow(par)
-                del children[par][int(symbol[s])]
-                echg_set.add(par)
-                dead.add(s)
-                s = par
-
-        # -- additions: insert, recycling husk ids first ----------------
-        free = sorted(dead, reverse=True)
-        new_states: set = set()
-        n_alloc = n_old
-        kept_count = base_npat - len(delta.removed)
-        for i, pat in enumerate(delta.added):
-            s = ROOT
-            for b in pat:
-                nxt = children[s].get(b)
-                if nxt is None:
-                    if free:
-                        nid = free.pop()
-                        dead.discard(nid)
-                        children[nid] = {}
-                        copied.add(nid)
-                        terminal[nid] = ()
-                    else:
-                        nid = n_alloc
-                        n_alloc += 1
-                        children.append({})
-                        copied.add(nid)
-                        terminal.append(())
-                        outputs.append(())
-                    depth[nid] = depth[s] + 1
-                    parent[nid] = s
-                    symbol[nid] = b
-                    cow(s)
-                    children[s][b] = nid
-                    echg_set.add(s)
-                    new_states.add(nid)
-                    nxt = nid
-                s = nxt
-            # Provisional pid ``base_npat + i`` — remapped to its final
-            # id (kept_count + i) once the CSR is assembled, so removal
-            # shifts touch each output tuple exactly once.
-            terminal[s] = terminal[s] + (base_npat + i,)
-            tchg_set.add(s)
-
-        n = n_alloc
-        depth = depth[:n]
-        parent = parent[:n]
-        symbol = symbol[:n]
-
-        isnew = np.zeros(n, dtype=bool)
-        echg = np.zeros(n, dtype=bool)
-        tchg = np.zeros(n, dtype=bool)
-        for s in new_states:
-            isnew[s] = True
-        for s in echg_set:
-            if s not in dead:
-                echg[s] = True
-        for s in tchg_set:
-            if s not in dead:
-                tchg[s] = True
-        husks = tuple(sorted(dead))
-        is_dead = np.zeros(n, dtype=bool)
-        if husks:
-            dead_arr = np.asarray(husks, dtype=np.int64)
-            is_dead[dead_arr] = True
-            depth[dead_arr] = -1
-            parent[dead_arr] = -1
-            symbol[dead_arr] = -1
-            for s in husks:
-                children[s] = {}
-                terminal[s] = ()
-                outputs[s] = ()
-
-        # -- level sweep: fails + dirty rows, vectorized per depth ------
-        base_table = base.dfa.stt.table
-        table = np.empty((n, STT_COLUMNS), dtype=STATE_DTYPE)
-        table[:n_old] = base_table
-        old_fail = np.full(n, ROOT, dtype=np.int32)
-        old_fail[:n_old] = base.fail
-        new_fail = np.full(n, ROOT, dtype=np.int32)
-        dirty = np.zeros(n, dtype=bool)
-        fail_changed = np.zeros(n, dtype=bool)
-
-        max_depth = int(depth.max()) if n else 0
-        levels = [np.flatnonzero(depth == lvl) for lvl in range(max_depth + 1)]
-
-        dirty[ROOT] = echg[ROOT]
-        if dirty[ROOT]:
-            table[ROOT, :ALPHABET_SIZE] = ROOT
-        for lvl in range(1, max_depth + 1):
-            L = levels[lvl]
-            if not len(L):
-                continue
-            # Complete the previous level's dirty rows: overlay the trie
-            # edges that lead *into* this level (a trie edge (p, b, c)
-            # with c at depth d has p at depth d-1, and p's row was
-            # fail-inherited in the previous iteration).
-            E = L[dirty[parent[L]]]
-            if len(E):
-                table[parent[E], symbol[E]] = E.astype(STATE_DTYPE)
-            # fails: fail(c) = δ(fail(parent(c)), symbol(c)).  The rows
-            # read are at depth <= lvl-2 and are final, overlays included.
-            if lvl == 1:
-                new_fail[L] = ROOT
-            else:
-                new_fail[L] = table[new_fail[parent[L]], symbol[L]]
-            fc = new_fail[L] != old_fail[L]
-            fail_changed[L] = fc
-            dl = echg[L] | fc | isnew[L] | dirty[new_fail[L]]
-            dirty[L] = dl
-            D = L[dl]
-            if len(D):
-                # Inherit the failure state's row (strictly shallower,
-                # final).  Own edges are overlaid by the next iteration.
-                table[D, :ALPHABET_SIZE] = table[new_fail[D], :ALPHABET_SIZE]
-
-        if is_dead[new_fail[~is_dead]].any():
-            raise DeltaError(
-                "internal: a live state's failure link targets a pruned "
-                "state — delta build aborted"
-            )
-
-        # -- outputs: recompute only where the fail chain changed -------
-        out_dirty = (tchg | fail_changed | isnew) & ~is_dead
-        for lvl in range(1, max_depth + 1):
-            L = levels[lvl]
-            if len(L):
-                out_dirty[L] |= out_dirty[new_fail[L]]
-        counts = np.empty(n, dtype=np.int64)
-        counts[:n_old] = base.counts
-        counts[n_old:] = 0
-        for lvl in range(1, max_depth + 1):
-            L = levels[lvl]
-            for s in L[out_dirty[L]].tolist():
-                o = terminal[s] + outputs[new_fail[s]]
-                outputs[s] = o
-                counts[s] = len(o)
-        if husks:
-            counts[dead_arr] = 0
-            table[dead_arr] = table[ROOT]
-
-        table[:, MATCH_COLUMN] = (counts > 0).astype(STATE_DTYPE)
-
-        # -- CSR + pattern-id remap -------------------------------------
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        out_ids = np.fromiter(
-            chain.from_iterable(outputs), dtype=np.int64, count=total
-        )
-        if delta.removed or delta.added:
-            remap = np.full(base_npat + len(delta.added), -1, dtype=np.int64)
-            keep_mask = np.ones(base_npat, dtype=bool)
-            if removed_pids:
-                keep_mask[np.asarray(removed_pids, dtype=np.int64)] = False
-            remap[np.flatnonzero(keep_mask)] = np.arange(kept_count)
-            remap[base_npat:] = np.arange(
-                kept_count, kept_count + len(delta.added)
-            )
-            if total:
-                out_ids = remap[out_ids]
-                if int(out_ids.min()) < 0:
-                    raise DeltaError(
-                        "internal: an output references a removed pattern "
-                        "id — delta build aborted"
-                    )
-            if delta.removed:
-                # Retained tuples must live in the *final* pid space for
-                # the next delta.  Non-empty terminals imply non-empty
-                # outputs, so one pass over the output-bearing states
-                # remaps both.  Add-only deltas skip this: the remap is
-                # the identity on every surviving id.  Plain-list
-                # slicing beats per-state NumPy slices at this size.
-                ids_l = out_ids.tolist()
-                offs_l = offsets.tolist()
-                remap_l = remap.tolist()
-                for s in np.flatnonzero(counts).tolist():
-                    outputs[s] = tuple(ids_l[offs_l[s] : offs_l[s + 1]])
-                    t = terminal[s]
-                    if t:
-                        terminal[s] = tuple(remap_l[x] for x in t)
-            else:
-                remap_l = remap.tolist()
-                for s in np.flatnonzero(out_dirty).tolist():
-                    t = terminal[s]
-                    if t and t[-1] >= base_npat:
-                        terminal[s] = tuple(remap_l[x] for x in t)
-                        outputs[s] = tuple(
-                            out_ids[offsets[s] : offsets[s + 1]].tolist()
-                        )
-
-        # -- incremental row checksums ----------------------------------
-        row_checksums = np.empty(n, dtype=CHECKSUM_DTYPE)
-        row_checksums[:n_old] = base.row_checksums
-        flag_changed = np.zeros(n, dtype=bool)
-        flag_changed[:n_old] = (
-            table[:n_old, MATCH_COLUMN] != base_table[:, MATCH_COLUMN]
-        )
-        recompute = dirty | isnew | is_dead | flag_changed
-        recompute_idx = np.flatnonzero(recompute)
-        if len(recompute_idx):
-            crc32 = zlib.crc32
-            if table.dtype.str == "<i4":
-                # Little-endian host: the table bytes already *are* the
-                # canonical form, so hash rows in place through a flat
-                # byte view — no gather, no copy.
-                mv = memoryview(table).cast("B")
-                fresh = [
-                    crc32(mv[s * _ROW_BYTES : (s + 1) * _ROW_BYTES])
-                    & 0xFFFFFFFF
-                    for s in recompute_idx.tolist()
-                ]
-            else:  # pragma: no cover - big-endian hosts
-                canon = np.ascontiguousarray(table[recompute_idx], dtype="<i4")
-                mv = memoryview(canon).cast("B")
-                fresh = [
-                    crc32(mv[j * _ROW_BYTES : (j + 1) * _ROW_BYTES])
-                    & 0xFFFFFFFF
-                    for j in range(len(recompute_idx))
-                ]
-            row_checksums[recompute_idx] = np.asarray(fresh, dtype=CHECKSUM_DTYPE)
-
-        dfa = DFA(STT(table), offsets, out_ids, new_patterns)
-        n_dirty = int(recompute.sum())
-        stats = BuildStats(
-            mode="delta",
-            seconds=time.perf_counter() - t0,
-            n_states=n,
-            live_states=n - len(husks),
-            husk_states=len(husks),
-            dirty_rows=n_dirty,
-            reused_rows=n - n_dirty,
-            churn=delta.churn,
-        )
-        version = BuiltVersion(
-            patterns=new_patterns,
-            dfa=dfa,
-            row_checksums=row_checksums,
-            children=children,
-            terminal=terminal,
-            depth=depth,
-            parent=parent,
-            symbol=symbol,
-            fail=new_fail,
-            outputs=outputs,
-            counts=counts,
-            husks=husks,
-            stats=stats,
-        )
-        if validate:
-            scratch = DFA.build(new_patterns)
-            if not dfa_equivalent(dfa, scratch):
-                raise DeltaError(
-                    "delta-built automaton is not structurally equivalent "
-                    "to a from-scratch build"
-                )
-        return version
-
-
-# -- canonical (renumbering-invariant) comparison -----------------------
-
-
-def canonical_order(dfa: DFA) -> np.ndarray:
-    """Reachable states in canonical BFS order (byte-ascending ties).
-
-    BFS from the root over the DFA's δ edges, visiting each state's
-    successors in byte order and keeping first occurrences, yields the
-    same sequence of *strings* for any two automata recognizing the
-    same language with the same structure — regardless of how their
-    states are numbered.  Unreachable rows (delta-build husks) are
-    excluded by construction.
-    """
-    table = dfa.stt.table
-    n = table.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[ROOT] = True
-    order: List[np.ndarray] = [np.array([ROOT], dtype=np.int64)]
-    frontier = order[0]
-    while frontier.size:
-        flat = table[frontier, :ALPHABET_SIZE].ravel().astype(np.int64)
-        # Order-preserving unique: np.unique sorts, so recover first
-        # occurrence positions and re-sort by them.
-        _, first = np.unique(flat, return_index=True)
-        cand = flat[np.sort(first)]
-        cand = cand[~seen[cand]]
-        if not cand.size:
-            break
-        seen[cand] = True
-        order.append(cand)
-        frontier = cand
-    return np.concatenate(order)
-
-
-def canonical_fingerprint(dfa: DFA) -> np.ndarray:
-    """One CRC32 per reachable state, invariant under state renumbering.
-
-    Each fingerprint covers the state's renumbered transition row, its
-    match flag, and its sorted output pattern ids, all in little-endian
-    canonical form.  Two DFAs are structurally equivalent (isomorphic
-    including outputs) iff their fingerprint vectors are equal.
-    """
-    order = canonical_order(dfa)
-    table = dfa.stt.table
-    perm = np.full(table.shape[0], -1, dtype=np.int64)
-    perm[order] = np.arange(order.size)
-    renum = np.ascontiguousarray(
-        perm[table[order][:, :ALPHABET_SIZE].astype(np.int64)], dtype="<i8"
-    )
-    flags = table[order, MATCH_COLUMN].astype(np.int64)
-    out = np.empty(order.size, dtype=CHECKSUM_DTYPE)
-    for i, s in enumerate(order.tolist()):
-        pids = np.sort(dfa.outputs_of(s)).astype("<i8")
-        h = zlib.crc32(renum[i].tobytes())
-        h = zlib.crc32(int(flags[i]).to_bytes(1, "little"), h)
-        h = zlib.crc32(pids.tobytes(), h)
-        out[i] = h & 0xFFFFFFFF
-    return out
-
-
-def dfa_equivalent(a: DFA, b: DFA) -> bool:
-    """True iff *a* and *b* are structurally equivalent automata.
-
-    Equivalence is up to state renumbering (and ignoring unreachable
-    husk rows) but exact in every way that can influence a scan: same
-    canonical transition structure, same match flags, same output
-    pattern ids.  Implies byte-identical match results on every input.
-    """
-    fa = canonical_fingerprint(a)
-    fb = canonical_fingerprint(b)
-    return fa.shape == fb.shape and bool(np.all(fa == fb))
+        return DeltaBuilder.full(delta.apply_to(base.patterns))

@@ -97,9 +97,7 @@ class DFA:
 
         The reference construction: a breadth-first walk of the
         automaton's dict-per-state trie.  :meth:`build` must produce
-        byte-identical arrays (the tests compare them), and
-        :meth:`repro.core.delta.DeltaBuilder.full` builds through here
-        because it keeps the trie and output tuples it edits in place.
+        byte-identical arrays (the tests compare them).
         """
         n = ac.n_states
         table = np.empty((n, STT_COLUMNS), dtype=STATE_DTYPE)
@@ -143,7 +141,10 @@ class DFA:
     def build(cls, patterns: PatternSet) -> "DFA":
         """One-shot phase 1: patterns -> DFA, one trie depth at a time.
 
-        Yields exactly the arrays of
+        The serving layer builds every automaton here: each cache
+        entry, and each rule version the epoch manager registers, swaps
+        in or rolls back to (:class:`~repro.core.delta.DeltaBuilder`,
+        which adds the row checksums).  Yields exactly the arrays of
         ``from_automaton(AhoCorasickAutomaton.build(patterns))`` —
         same STT bytes, output CSR and state numbering — without the
         dict-per-state trie.  Three loops over the depths 1..max_len:
@@ -267,8 +268,9 @@ class DFA:
         See :mod:`repro.core.compact` — exactly equivalent to the dense
         STT (``C[s, class_of[b]] == δ(s, b)`` for all state/byte pairs)
         with a working set proportional to the bytes the dictionary
-        actually uses.  The tiled engine gathers through this by
-        default.
+        actually uses.  The CPU scans gather through this by default;
+        a gpu bind reads the dense STT instead (see
+        :func:`~repro.compress.backend.device_gather_table`).
         """
         if self._compact is None:
             from repro.core.compact import CompactSTT

@@ -120,11 +120,12 @@ class PatternSet:
     ) -> "PatternSet":
         """Fast path for already-encoded, deduplicated, non-empty arrays.
 
-        Used by the incremental builder (:mod:`repro.core.delta`), where
-        the surviving patterns are the base set's own read-only arrays
-        and re-encoding 20k of them would dominate the delta-build
-        budget.  The *caller* is responsible for the class invariants
-        (no empties, no duplicates, read-only buffers).
+        Used by :meth:`PatternDelta.apply_to
+        <repro.core.delta.PatternDelta.apply_to>`, where the surviving
+        patterns are the base set's own read-only arrays, so a version
+        shares them with its parent instead of re-encoding 20k copies.
+        The *caller* is responsible for the class invariants (no
+        empties, no duplicates, read-only buffers).
         """
         ps = cls.__new__(cls)
         ps._adopt(arrays)

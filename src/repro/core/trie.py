@@ -5,8 +5,8 @@ pattern into a trie rooted at state 0; the trie edges *are* the defined
 part of the goto function ``g``.  The automaton's failure function and
 output sets are then derived from this structure by breadth-first
 traversal (:mod:`repro.core.automaton`), and
-:meth:`~repro.core.dfa.DFA.from_automaton` and the incremental builder
-(:mod:`repro.core.delta`) work from that automaton.
+:meth:`~repro.core.dfa.DFA.from_automaton` (the reference DFA
+construction) works from that automaton.
 :meth:`~repro.core.dfa.DFA.build` does not use this class: it makes
 the same states, numbered the same way, one depth at a time in NumPy.
 

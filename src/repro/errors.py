@@ -26,15 +26,13 @@ class ChunkingError(ReproError):
 
 
 class DeltaError(AutomatonError):
-    """Raised for invalid pattern deltas or failed incremental builds.
+    """Raised for invalid pattern deltas.
 
-    Covers both user-level misuse (removing a pattern the base set does
-    not contain, adding one it already has, an empty delta) and internal
-    consistency failures of the incremental builder (a delta-built
-    automaton that does not structurally match a from-scratch build).
-    The swap path treats any :class:`DeltaError` as "abort the swap and
-    fall back to a full rebuild or the last good epoch" — it must never
-    surface a torn automaton.
+    Covers removing a pattern the base set does not contain, adding one
+    it already has, an empty delta, and a delta that would empty the
+    set.  The swap path treats any :class:`DeltaError` as "abort the
+    swap and keep serving the last good epoch" — it must never surface
+    a torn automaton.
     """
 
 

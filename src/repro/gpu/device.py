@@ -413,17 +413,19 @@ class Device:
         """Place *dfa*'s gather tables in texture memory (paper §IV-B-2).
 
         The device keeps its own copy of exactly the arrays a scan under
-        *stt_backend* reads — the fused ``col_flat``, ``cls_lut`` and
-        ``flag_flat`` for ``dense`` and ``compact``, the adapter's
-        arrays for ``banded`` and ``bitmap``, built by
-        :func:`~repro.compress.backend.device_gather_table` — and one
-        CRC32 per 64 KiB block of each.  :meth:`verify_texture` re-checks every block
-        before each launch and the AC kernels gather through this copy
-        (:meth:`gather_table`), so a bit flip that lands after binding
-        is caught before the scan reads it.  The dense STT this reads
-        is row-CRC-checked by its owner before the bind — the REPRODFA
-        load, the serving cache's ``get_or_build``, the epoch manager's
-        ``built_for`` — not here.
+        *stt_backend* reads, built by
+        :func:`~repro.compress.backend.device_gather_table`, and one
+        CRC32 per 64 KiB block of each.  For ``dense`` and ``compact``
+        that is the fused ``col_flat``, ``cls_lut`` and ``flag_flat``,
+        fused straight from the dense STT, which its owner row-CRC-checks
+        before the bind — the REPRODFA load, the serving cache's
+        ``get_or_build``, the epoch manager's ``built_for`` — so the
+        copy holds only bytes a CRC has just covered.  For ``banded``
+        and ``bitmap`` it is a copy of the DFA's memoized adapter's
+        arrays, which no row CRC covers.  :meth:`verify_texture`
+        re-checks every block before each launch and the AC kernels
+        gather through this copy (:meth:`gather_table`), so a bit flip
+        that lands after binding is caught before the scan reads it.
 
         The modeled allocation is the dense STT's bytes
         (:class:`TextureBinding`).  Rebinding replaces (and frees) any

@@ -269,9 +269,9 @@ def run_swap_trial(
 ) -> TrialOutcome:
     """One seeded mid-swap chaos trial under concurrent scan load.
 
-    The trial drives four hot-swaps (two delta — one passed serialized —
-    and two full rebuilds, so every swap fault's trigger count is
-    reachable) through an :class:`~repro.serve.epoch.EpochManager`
+    The trial drives four hot-swaps (two by delta — one passed
+    serialized — and two by whole dictionary, so every swap fault's
+    trigger count is reachable) through an :class:`~repro.serve.epoch.EpochManager`
     attached to a :class:`~repro.serve.scheduler.ScanScheduler`, with
     requests submitted **before and after each swap but drained
     together**, so every swap lands while the previous epoch still has

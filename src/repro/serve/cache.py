@@ -24,11 +24,12 @@ Keying rules (docs/MODEL.md §8):
 * pattern order matters — ids are positional and results carry
   pattern ids, so a reordered dictionary is a different entry;
 * the resident key additionally carries the ``stt_backend`` the entry
-  was prepared for (dense/compact/banded/bitmap,
-  :mod:`repro.compress.backend`): the same digest under two backends is
-  two entries, because each entry pre-materializes its backend's gather
-  table and a hit must hand back exactly what the consumer will gather
-  through.  The *digest* itself stays backend-free — it names the
+  serves (dense/compact/banded/bitmap, :mod:`repro.compress.backend`):
+  the same digest under two backends is two entries, each aging on its
+  own in the LRU.  No entry pre-builds a gather table: a table is built
+  where it is first read (a device bind fuses its copy straight from the
+  verified dense STT; a CPU scan memoizes the backend's table on the
+  DFA).  The *digest* itself stays backend-free — it names the
   automaton's content, not its storage layout.
 """
 
@@ -79,9 +80,8 @@ class CacheEntry:
     #: with :meth:`AutomatonCache.touch` instead.
     row_checksums: np.ndarray
     case_insensitive: bool
-    #: STT storage backend this entry's gather table was prepared for;
-    #: part of the resident key (same digest + different backend are
-    #: distinct entries).
+    #: STT storage backend this entry serves; part of the resident key
+    #: (same digest + different backend are distinct entries).
     stt_backend: str = DEFAULT_BACKEND
     hits: int = 0
 
@@ -210,12 +210,13 @@ class AutomatonCache:
         """``(entry, was_hit)`` for a dictionary, building on miss.
 
         The build path folds the dictionary exactly as
-        :class:`~repro.matcher.Matcher` does, computes the STT row
-        checksums, pre-materializes the requested backend's gather
-        table on the DFA (so a hit never pays the compression build),
-        and inserts the entry (evicting the LRU entry when over
-        capacity), so a hit and a fresh build are byte-identical by
-        construction — the cache-fuzz test pins this.
+        :class:`~repro.matcher.Matcher` does, runs ``DFA.build`` and the
+        STT row checksums, and inserts the entry (evicting the LRU entry
+        when over capacity), so a hit and a fresh build are
+        byte-identical by construction — the cache-fuzz test pins this.
+        It builds no gather table: a device bind fuses its own copy from
+        the dense STT these checksums cover, and a CPU scan builds (and
+        memoizes on the DFA) the backend's table on its first read.
         """
         backend = resolve_backend(stt_backend)
         if not isinstance(patterns, PatternSet):
@@ -239,7 +240,6 @@ class AutomatonCache:
             stt_backend=backend,
         ) as sp:
             dfa = DFA.build(patterns)
-            dfa.gather_table(backend)
             entry = CacheEntry(
                 digest=digest,
                 dfa=dfa,

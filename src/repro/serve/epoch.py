@@ -10,9 +10,12 @@ a named pattern set.  :class:`EpochManager` owns the swap protocol
   :meth:`EpochManager.admit` returns a refcounted :class:`EpochLease`;
   the scheduler releases it when the request's batch drains.
 * **Swaps build aside, verify, then commit.**  A swap builds the new
-  version's automaton next to the serving one (delta build when lineage
-  allows, full rebuild otherwise), re-verifies every STT row checksum,
-  and only then moves the active pointer.  The old epoch keeps serving
+  version's automaton next to the serving one — one
+  :meth:`~repro.core.dfa.DFA.build` of the new dictionary, whether a
+  delta or a whole dictionary names it
+  (:class:`~repro.core.delta.DeltaBuilder`), under the ``rebuild``
+  watchdog — re-verifies every STT row checksum, and only then moves
+  the active pointer.  The old epoch keeps serving
   its in-flight leases (state ``draining``) and is retired — its table
   dropped — when the last lease is released.
 * **Overlap is budgeted.**  At most ``overlap_budget`` (default 2)
@@ -162,9 +165,15 @@ class SwapReport:
     name: str
     from_version: int
     to_version: Optional[int]  # None when the swap aborted
-    mode: str  # "delta" | "full" | "compacted" | "rollback"
+    #: What named the new version: ``"delta"`` (a :class:`PatternDelta`,
+    #: lineage recorded), ``"full"`` (a whole dictionary, a root
+    #: version) or ``"rollback"``.  Every mode builds the same way: one
+    #: ``DFA.build`` of the new dictionary.
+    mode: str
     rebuild_ms: float = 0.0
     verify_ms: float = 0.0
+    #: Rows built (every row: a version is built from scratch) and rows
+    #: reused from the previous version (none).
     dirty_rows: int = 0
     reused_rows: int = 0
     churn: int = 0
@@ -190,8 +199,7 @@ class SwapReport:
         )
         return (
             f"{self.name}: v{self.from_version} -> v{self.to_version}"
-            f"{revert} [{self.mode}] rebuild {self.rebuild_ms:.1f} ms "
-            f"(dirty {self.dirty_rows}, reused {self.reused_rows}), "
+            f"{revert} [{self.mode}] rebuild {self.rebuild_ms:.1f} ms, "
             f"verify {self.verify_ms:.1f} ms, overlap {self.epoch_overlap}"
         )
 
@@ -213,9 +221,6 @@ class EpochManager:
         manager pokes the ``delta_apply``, ``rebuild``, and
         ``swap_verify`` sites (chaos campaigns; production never sets
         this).
-    validate:
-        When True every delta build is fingerprint-validated against a
-        from-scratch build before commit (audit mode; expensive).
     tracer / metrics:
         Optional observability hooks (``epoch_swap`` spans;
         ``epoch_swaps_total`` / ``epoch_swap_aborts_total`` counters,
@@ -228,7 +233,6 @@ class EpochManager:
         *,
         overlap_budget: int = 2,
         injector=None,
-        validate: bool = False,
         tracer=None,
         metrics=None,
     ) -> None:
@@ -240,7 +244,6 @@ class EpochManager:
         self.registry = registry if registry is not None else PatternSetRegistry()
         self.overlap_budget = overlap_budget
         self.injector = injector
-        self.validate = validate
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._active: Dict[str, Epoch] = {}
@@ -419,16 +422,14 @@ class EpochManager:
         delta: Optional[Union[PatternDelta, bytes, bytearray]] = None,
         *,
         patterns: Optional[Union[PatternSet, Sequence]] = None,
-        full: bool = False,
     ) -> SwapReport:
         """Swap *name* to a new version; zero downtime, abort on fault.
 
         Exactly one update source must be given: ``delta`` (a
         :class:`~repro.core.delta.PatternDelta` or its serialized
-        bytes — the incremental path, with lineage recorded) or
-        ``patterns`` (a whole dictionary — a root version, full
-        rebuild).  ``full=True`` forces a full rebuild even for a
-        delta (the compaction escape hatch; lineage is still recorded).
+        bytes, with lineage recorded) or ``patterns`` (a whole
+        dictionary — a root version).  Either way the new dictionary is
+        built from scratch under the ``rebuild`` watchdog.
 
         Returns the :class:`SwapReport`.  On a typed failure the swap
         is aborted — report recorded with ``aborted=True``, serving
@@ -453,15 +454,13 @@ class EpochManager:
             name=name,
             from_version=old.version,
             to_version=None,
-            mode="full" if delta is None or full else "delta",
+            mode="full" if delta is None else "delta",
         )
         with self.tracer.span(
             "epoch_swap", pattern_set=name, from_version=old.version
         ) as sp:
             try:
-                built, register, report.mode = self._prepare(
-                    old, delta, patterns, full, report
-                )
+                built, register = self._prepare(old, delta, patterns, report)
                 self._verify(built, report)
             except SWAP_ABORT_ERRORS as exc:
                 report.aborted = True
@@ -497,15 +496,14 @@ class EpochManager:
         ).set(report.rebuild_ms)
         return report
 
-    def _prepare(self, old, delta, patterns, full, report):
+    def _prepare(self, old, delta, patterns, report):
         """Build the incoming version aside.
 
-        Returns ``(built, register, mode)`` where *register* is the
-        deferred registry write — called by :meth:`swap` only after the
-        verify gate passes, so an aborted swap leaves no registry
-        trace.  Everything run here is abortable.
+        Returns ``(built, register)`` where *register* is the deferred
+        registry write — called by :meth:`swap` only after the verify
+        gate passes, so an aborted swap leaves no registry trace.
+        Everything run here is abortable.
         """
-        mode = report.mode
         if delta is not None:
             if isinstance(delta, (bytes, bytearray)):
                 blob = bytes(delta)
@@ -522,57 +520,36 @@ class EpochManager:
                     delta = PatternDelta.from_bytes(
                         fault.mutate_blob(delta.to_bytes())
                     )
-        if delta is not None and not full:
-            t0 = time.perf_counter()
-            built = DeltaBuilder.apply(old.built, delta, validate=self.validate)
-            report.rebuild_ms = (time.perf_counter() - t0) * 1e3
-            report.dirty_rows = built.stats.dirty_rows
-            report.reused_rows = built.stats.reused_rows
             report.churn = delta.churn
-            if built.garbage_fraction > DeltaBuilder.COMPACTION_THRESHOLD:
-                # Too many husk rows: pay the full rebuild now and
-                # reclaim them, keeping lookup tables dense.
-                mode = "compacted"
-                built = self._full_build(built.patterns, report)
-        elif delta is not None:  # full=True with a delta
-            built = self._full_build(
-                delta.apply_to(old.built.patterns), report
+        elif not isinstance(patterns, PatternSet):
+            patterns = PatternSet(patterns)
+        fault = self._poke("rebuild")
+        t0 = time.perf_counter()
+        if delta is None:
+            built = DeltaBuilder.full(patterns)
+        else:
+            built = DeltaBuilder.apply(old.built, delta)
+        report.rebuild_ms = (time.perf_counter() - t0) * 1e3
+        report.dirty_rows = built.dfa.n_states
+        if fault is not None and report.rebuild_ms / 1e3 > fault.deadline_seconds:
+            raise KernelTimeoutError(
+                f"rebuild of {len(built.patterns)} patterns took "
+                f"{report.rebuild_ms:.1f} ms, over the "
+                f"{fault.deadline_seconds * 1e3:.1f} ms swap watchdog"
             )
-            report.churn = delta.churn
-        else:
-            if not isinstance(patterns, PatternSet):
-                patterns = PatternSet(patterns)
-            built = self._full_build(patterns, report)
-        if delta is not None:
-            applied = delta
-
-            def register():
-                return self.registry.derive(
-                    old.name, applied, patterns=built.patterns
-                )
-
-        else:
+        if delta is None:
 
             def register():
                 return self.registry.register(old.name, built.patterns)
 
-        return built, register, mode
+        else:
 
-    def _full_build(self, patterns: PatternSet, report) -> BuiltVersion:
-        """Full rebuild under the ``rebuild`` watchdog site."""
-        fault = self._poke("rebuild")
-        t0 = time.perf_counter()
-        built = DeltaBuilder.full(patterns)
-        report.rebuild_ms = (time.perf_counter() - t0) * 1e3
-        report.dirty_rows = built.stats.dirty_rows
-        report.reused_rows = built.stats.reused_rows
-        if fault is not None and report.rebuild_ms / 1e3 > fault.deadline_seconds:
-            raise KernelTimeoutError(
-                f"rebuild of {len(patterns)} patterns took "
-                f"{report.rebuild_ms:.1f} ms, over the "
-                f"{fault.deadline_seconds * 1e3:.1f} ms swap watchdog"
-            )
-        return built
+            def register():
+                return self.registry.derive(
+                    old.name, delta, patterns=built.patterns
+                )
+
+        return built, register
 
     def _verify(self, built: BuiltVersion, report) -> None:
         """Checksum-gate the incoming table before the commit point."""
@@ -642,6 +619,7 @@ class EpochManager:
             t0 = time.perf_counter()
             built = DeltaBuilder.full(predecessor.patterns)
             report.rebuild_ms = (time.perf_counter() - t0) * 1e3
+            report.dirty_rows = built.dfa.n_states
             self._verify(built, report)
             record = self.registry.register(name, predecessor.patterns)
             report.to_version = record.version

@@ -9,10 +9,9 @@ named rule set — every version is content-addressed by
 and a cache entry for the same dictionary agree by construction) and
 carries its lineage: the parent version's digest plus the delta that
 produced it.  The epoch manager (:mod:`repro.serve.epoch`) builds
-automata *from* this lineage — a delta edge means an incremental
-:meth:`~repro.core.delta.DeltaBuilder.apply`, a root version a full
-build — and the registry is what rollback consults for "the last good
-version".
+every version's automaton from scratch, whatever its lineage
+(:class:`~repro.core.delta.DeltaBuilder`); the registry is what
+rollback consults for "the last good version".
 
 The registry stores only dictionaries and deltas (cheap, immutable);
 compiled automata live in epochs, which are refcounted and retired.
@@ -132,8 +131,8 @@ class PatternSetRegistry:
         exist, additions must not) — an invalid delta raises
         :class:`~repro.errors.DeltaError` and registers nothing.
         *patterns*, when given, must equal ``delta.apply_to(head)`` —
-        the epoch manager passes the incremental builder's result so a
-        20k-pattern dictionary is not re-spliced a second time.
+        the epoch manager passes the dictionary its swap just built, so
+        the delta is applied and validated once per swap.
         """
         head = self.head(name)
         if patterns is None:

@@ -1,8 +1,47 @@
 """Tests for the repro-ac command-line interface."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = Path(__file__).resolve().parents[2]
+
+
+def _documented_commands():
+    """Every ``repro-ac`` command line in CI, the README and docs/.
+
+    CI lines are ``run:`` steps; Markdown lines sit in fenced code
+    blocks.  Backslash continuations are joined, and shell comments and
+    redirections dropped, leaving the argument vector after
+    ``repro-ac``.
+    """
+    sources = [REPO / ".github" / "workflows" / "ci.yml", REPO / "README.md"]
+    sources += sorted((REPO / "docs").glob("*.md"))
+    commands = []
+    for path in sources:
+        fenced = path.suffix != ".md"
+        lines = iter(path.read_text(encoding="utf-8").splitlines())
+        for line in lines:
+            text = line.strip()
+            if text.startswith("```"):
+                fenced = not fenced
+                continue
+            if text.startswith("run:"):
+                text = text[len("run:"):].strip()
+            if not fenced or not text.startswith("repro-ac "):
+                continue
+            while text.endswith("\\"):
+                text = text[:-1] + next(lines).strip()
+            argv = []
+            for token in shlex.split(text, comments=True)[1:]:
+                if token in (">", "|", "&&", ";"):
+                    break
+                argv.append(token)
+            commands.append(pytest.param(argv, id=f"{path.name}:{' '.join(argv)}"))
+    return commands
 
 
 class TestParser:
@@ -22,6 +61,46 @@ class TestParser:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+
+
+class TestNoAbbreviations:
+    """Long options are spelled out in full: argparse's prefix matching
+    would read ``--patterns x`` as ``--patterns-file x``."""
+
+    def test_prefix_is_not_read_as_the_file_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "--patterns", "x", "--text", "y"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "required: --patterns-file, --text-file" in err
+
+    def test_prefix_is_an_unrecognized_argument(self, tmp_path, capsys):
+        pats = tmp_path / "p.txt"
+        pats.write_text("he\nshe\n")
+        text = tmp_path / "t.bin"
+        text.write_bytes(b"ushers")
+        with pytest.raises(SystemExit) as exc:
+            main(["match", "--patterns-file", str(pats), "--text-file",
+                  str(text), "--kern", "global"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kern global" in capsys.readouterr().err
+
+    def test_top_level_parser_rejects_prefixes(self):
+        parser = build_parser()
+        assert not parser.allow_abbrev
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        assert not any(p.allow_abbrev for p in sub.choices.values())
+
+    @pytest.mark.parametrize("argv", _documented_commands())
+    def test_documented_command_parses(self, argv):
+        args = build_parser().parse_args(argv)
+        assert args.command == argv[0]
+
+    def test_documented_commands_found(self):
+        ids = [p.id for p in _documented_commands()]
+        assert any(i.startswith("ci.yml:hotswap") for i in ids)
+        assert any(i.startswith("README.md:match") for i in ids)
+        assert any(i.startswith("TUTORIAL.md:") for i in ids)
 
 
 class TestCommands:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compress.backend import device_gather_table
 from repro.core import DFA, PatternSet, encode, match_serial
 from repro.core.alphabet import ALPHABET_SIZE
 from repro.core.compact import ByteClassMap, CompactSTT, compact_columns, used_bytes
@@ -112,6 +113,50 @@ def test_compact_transitions_equal_dense_property(case):
     patterns, _ = case
     dfa = DFA.build(patterns)
     assert dfa.compact_stt().verify_against(dfa)
+
+
+def _assert_bind_copy_is_transposed_table(dfa):
+    """A bind's fused copy is the transposed dense or compacted table.
+
+    The copy is fused block by block straight from the dense STT; the
+    reference transposes the whole table (the memo's layout) at once.
+    """
+    flags = dfa.stt.match_flags != 0
+    compact = dfa.compact_stt()
+    tables = {
+        "dense": (dfa.stt.next_states, np.arange(ALPHABET_SIZE)),
+        "compact": (compact.table, compact.class_of),
+    }
+    for backend, (table, byte_class) in tables.items():
+        for dtype in (np.uint16, np.int32):
+            (col_flat, cls_lut, flag_flat), _ = device_gather_table(
+                dfa, backend, dtype
+            )
+            assert col_flat.dtype == dtype
+            assert np.array_equal(col_flat, table.T.astype(dtype).reshape(-1))
+            assert np.array_equal(cls_lut, byte_class * dfa.n_states)
+            assert np.array_equal(flag_flat, flags[table.T].reshape(-1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dict_and_text())
+def test_bind_copy_equals_transposed_table_property(case):
+    patterns, _ = case
+    _assert_bind_copy_is_transposed_table(DFA.build(patterns))
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [
+        [bytes([b, b * 7 % 256, b ^ 0x5A, b * 13 % 256, 255 - b]) for b in range(256)],
+        [b"%d-%d" % (i, i * 31 % 997) for i in range(900)],
+    ],
+    ids=["full-alphabet", "several-blocks"],
+)
+def test_bind_copy_equals_transposed_table(patterns):
+    dfa = build(patterns)
+    assert dfa.n_states > 1024  # more than one block of rows
+    _assert_bind_copy_is_transposed_table(dfa)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,9 @@
-"""Delta (incremental) automaton builds vs from-scratch ground truth."""
+"""Pattern deltas and the rule-version builds they feed.
+
+Every version is one ``DFA.build`` of the new dictionary, so a build
+after a delta must be byte-identical to a from-scratch build of the
+same dictionary, and match like the trie reference on it.
+"""
 
 from __future__ import annotations
 
@@ -11,8 +16,6 @@ from repro.core import (
     DeltaBuilder,
     PatternDelta,
     PatternSet,
-    canonical_fingerprint,
-    dfa_equivalent,
 )
 from repro.core.integrity import stt_row_checksums, verify_row_checksums
 from repro.errors import DeltaError, IntegrityError, SerializationError
@@ -52,14 +55,25 @@ def _texts():
     ]
 
 
+def _same_dfa(a: DFA, b: DFA) -> bool:
+    """Byte-identical STT and output CSR."""
+    return (
+        np.array_equal(a.stt.table, b.stt.table)
+        and np.array_equal(a.out_offsets, b.out_offsets)
+        and np.array_equal(a.out_ids, b.out_ids)
+    )
+
+
 def _check_delta(base_patterns, added=(), removed=()):
     """Apply a delta and cross-check against a from-scratch build."""
     base = DeltaBuilder.full(PatternSet.from_strings(base_patterns))
     delta = PatternDelta.from_strings(added=added, removed=removed)
-    version = DeltaBuilder.apply(base, delta, validate=True)
+    version = DeltaBuilder.apply(base, delta)
     new_patterns = delta.apply_to(base.patterns)
     scratch = DFA.build(new_patterns)
     assert version.patterns == new_patterns
+    assert _same_dfa(version.dfa, scratch)
+    assert np.array_equal(version.row_checksums, stt_row_checksums(scratch.stt))
     for text in _texts():
         assert _scan(version.dfa, text) == _scan(scratch, text), text
     # Oracle cross-check: the NFA-style matcher on the new dictionary.
@@ -115,44 +129,76 @@ class TestPatternDelta:
         assert d.churn == 3
         assert "+2 -1" in d.describe()
 
+    def test_apply_to_shares_surviving_arrays(self):
+        ps = PatternSet.from_strings(BASE)
+        new = PatternDelta.from_strings(added=["usher"], removed=["she"]).apply_to(ps)
+        assert new[0] is ps[0] and new[1] is ps[2] and new[2] is ps[3]
+        assert new.as_bytes_list() == [b"he", b"his", b"hers", b"usher"]
+        assert not any(arr.flags.writeable for arr in new)
+
+    def test_apply_to_equals_reencoded_set(self):
+        ps = PatternSet.from_strings(BASE)
+        delta = PatternDelta.from_strings(added=["hi", "ushers"], removed=["his"])
+        new = delta.apply_to(ps)
+        old = PatternSet.from_bytes([b"he", b"she", b"hers", b"hi", b"ushers"])
+        assert new == old
+        assert new.digest() == old.digest()
+        assert new.digest(True) == old.digest(True)
+        assert new.stats() == old.stats()
+
+    def test_apply_to_error_messages(self):
+        ps = PatternSet.from_strings(["a", "b"])
+        with pytest.raises(
+            DeltaError,
+            match=r"^delta removes 1 pattern\(s\) not in the base set "
+            r"\(first: b'zz'\)$",
+        ):
+            PatternDelta.from_strings(removed=["zz"]).apply_to(ps)
+        with pytest.raises(
+            DeltaError,
+            match=r"^delta adds 2 pattern\(s\) already in the base set "
+            r"\(first: b'a'\)$",
+        ):
+            PatternDelta.from_strings(added=["a", "b"]).apply_to(ps)
+        with pytest.raises(DeltaError, match="leave the pattern set empty"):
+            PatternDelta.from_strings(removed=["a", "b"]).apply_to(ps)
+
 
 class TestDeltaBuilder:
+    def test_full_is_one_dfa_build(self):
+        patterns = PatternSet.from_strings(BASE)
+        version = DeltaBuilder.full(patterns)
+        assert version.patterns is patterns
+        assert _same_dfa(version.dfa, DFA.build(patterns))
+        reference = DFA.from_automaton(AhoCorasickAutomaton.build(patterns))
+        assert _same_dfa(version.dfa, reference)
+        assert np.array_equal(
+            version.row_checksums, stt_row_checksums(version.dfa.stt)
+        )
+
     def test_add_only_is_byte_identical_to_scratch(self):
         version, scratch = _check_delta(BASE, added=["ushers", "hi"])
-        # Add-only deltas allocate states in the same insertion order a
-        # scratch build would, so even the raw table matches.
         assert version.dfa.n_states == scratch.n_states
         assert np.array_equal(version.dfa.stt.table, scratch.stt.table)
         assert np.array_equal(
             version.row_checksums, stt_row_checksums(scratch.stt)
         )
 
-    def test_remove_leaves_husks_but_equivalent(self):
+    def test_remove_leaves_no_unreachable_rows(self):
+        # Removing "his" prunes its "i" and "s" states from the table.
+        base = DeltaBuilder.full(PatternSet.from_strings(BASE))
         version, scratch = _check_delta(BASE, removed=["his"])
-        assert version.stats.husk_states > 0
-        assert version.live_states == scratch.n_states
-        assert dfa_equivalent(version.dfa, scratch)
+        assert version.dfa.n_states == scratch.n_states == base.dfa.n_states - 2
+        assert (version.dfa.state_depths() >= 0).all()
 
     def test_remove_prefix_pattern_keeps_states(self):
         # "he" ends at an interior state of "hers": no states die.
+        base = DeltaBuilder.full(PatternSet.from_strings(BASE))
         version, _ = _check_delta(BASE, removed=["he"])
-        assert version.stats.husk_states == 0
+        assert version.dfa.n_states == base.dfa.n_states
 
     def test_add_and_remove_combined(self):
         _check_delta(BASE, added=["user", "shell"], removed=["she", "his"])
-
-    def test_husk_ids_are_recycled(self):
-        base = DeltaBuilder.full(PatternSet.from_strings(BASE))
-        v1 = DeltaBuilder.apply(
-            base, PatternDelta.from_strings(removed=["his"]), validate=True
-        )
-        assert v1.stats.husk_states > 0
-        v2 = DeltaBuilder.apply(
-            v1, PatternDelta.from_strings(added=["hit"]), validate=True
-        )
-        # The new states reuse pruned ids before growing the table.
-        assert v2.n_states == base.n_states
-        assert v2.stats.husk_states < v1.stats.husk_states
 
     def test_chained_deltas_stay_equivalent(self):
         version = DeltaBuilder.full(PatternSet.from_strings(BASE))
@@ -164,9 +210,9 @@ class TestDeltaBuilder:
         ]
         for added, removed in edits:
             delta = PatternDelta.from_strings(added=added, removed=removed)
-            version = DeltaBuilder.apply(version, delta, validate=True)
+            version = DeltaBuilder.apply(version, delta)
         scratch = DFA.build(version.patterns)
-        assert dfa_equivalent(version.dfa, scratch)
+        assert _same_dfa(version.dfa, scratch)
         for text in _texts():
             assert _scan(version.dfa, text) == _scan(scratch, text)
 
@@ -182,11 +228,10 @@ class TestDeltaBuilder:
     def test_base_version_is_not_mutated(self):
         base = DeltaBuilder.full(PatternSet.from_strings(BASE))
         table_before = base.dfa.stt.table.copy()
-        children_before = [dict(d) for d in base.children]
         delta = PatternDelta.from_strings(added=["shells"], removed=["his"])
         DeltaBuilder.apply(base, delta)
         assert np.array_equal(base.dfa.stt.table, table_before)
-        assert base.children == children_before
+        assert base.patterns.as_bytes_list() == [b"he", b"she", b"his", b"hers"]
         assert verify_row_checksums(base.dfa.stt.table, base.row_checksums) == []
 
     def test_pattern_ids_shift_on_removal(self):
@@ -196,51 +241,12 @@ class TestDeltaBuilder:
         assert got == _scan(scratch, b"she")
         assert got == [(2, 0)]  # she = pid 0 after "he" is removed
 
-    def test_stats_report_reuse(self):
-        pats = ["ab%03d" % i for i in range(200)]
-        base = DeltaBuilder.full(PatternSet.from_strings(pats))
-        # Shares the "ab" prefix, so the dirty set stays local; a novel
-        # first byte would genuinely rewrite one column of every row.
-        delta = PatternDelta.from_strings(added=["ab200"])
-        version = DeltaBuilder.apply(base, delta, validate=True)
-        assert version.stats.mode == "delta"
-        assert version.stats.reused_rows > version.stats.dirty_rows
-        assert version.stats.churn == 1
-
-    def test_garbage_fraction(self):
+    def test_invalid_delta_raises(self):
         base = DeltaBuilder.full(PatternSet.from_strings(BASE))
-        assert base.garbage_fraction == 0.0
-        v1 = DeltaBuilder.apply(
-            base, PatternDelta.from_strings(removed=["his"])
-        )
-        assert 0.0 < v1.garbage_fraction < 1.0
-
-
-class TestCanonicalFingerprint:
-    def test_same_dfa_same_fingerprint(self):
-        a = DFA.build(PatternSet.from_strings(BASE))
-        b = DFA.build(PatternSet.from_strings(BASE))
-        assert dfa_equivalent(a, b)
-
-    def test_different_language_differs(self):
-        a = DFA.build(PatternSet.from_strings(BASE))
-        b = DFA.build(PatternSet.from_strings(["he", "she", "his"]))
-        assert not dfa_equivalent(a, b)
-
-    def test_renumbering_invariance(self):
-        # Same language, different insertion order => different state
-        # numbering but identical canonical fingerprints...
-        a = DFA.build(PatternSet.from_strings(["he", "she", "his", "hers"]))
-        b = DFA.build(PatternSet.from_strings(["his", "hers", "she", "he"]))
-        fa = canonical_fingerprint(a)
-        fb = canonical_fingerprint(b)
-        assert fa.shape == fb.shape
-        # ...except the output *ids* are positional, which the
-        # fingerprint must see: permuted dictionaries are not the same
-        # machine from a caller's perspective.
-        assert not np.array_equal(fa, fb)
-        c = DFA.build(PatternSet.from_strings(["he", "she", "his", "hers"]))
-        assert np.array_equal(fa, canonical_fingerprint(c))
+        with pytest.raises(DeltaError):
+            DeltaBuilder.apply(base, PatternDelta.from_strings(removed=["xyz"]))
+        with pytest.raises(DeltaError):
+            DeltaBuilder.apply(base, PatternDelta.from_strings(removed=BASE))
 
 
 if HAVE_HYPOTHESIS:
@@ -254,7 +260,7 @@ if HAVE_HYPOTHESIS:
     )
     @settings(deadline=None)
     def test_fuzz_delta_equals_scratch(base, extra, data):
-        """Random add/remove deltas are always equivalent to scratch."""
+        """Random add/remove deltas build exactly what scratch builds."""
         added = [p for p in extra if p not in base]
         removable = data.draw(
             st.lists(st.sampled_from(base), max_size=len(base) - 1, unique=True)
@@ -265,10 +271,13 @@ if HAVE_HYPOTHESIS:
             return
         built = DeltaBuilder.full(PatternSet.from_strings(base))
         delta = PatternDelta.from_strings(added=added, removed=removable)
-        version = DeltaBuilder.apply(built, delta, validate=True)
+        version = DeltaBuilder.apply(built, delta)
         scratch = DFA.build(delta.apply_to(built.patterns))
+        assert _same_dfa(version.dfa, scratch)
         text = data.draw(st.text(alphabet="abc", max_size=60)).encode("latin-1")
         assert _scan(version.dfa, text) == _scan(scratch, text)
+        ac = AhoCorasickAutomaton.build(version.patterns)
+        assert _scan(version.dfa, text) == ac.match(text)
         assert verify_row_checksums(
             version.dfa.stt.table, version.row_checksums
         ) == []

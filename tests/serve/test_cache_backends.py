@@ -111,15 +111,21 @@ class TestHitVerification:
 class TestPreMaterialization:
     @pytest.mark.parametrize("backend", ["compact", "banded", "bitmap"])
     def test_gather_table_built_at_insert(self, backend):
-        """A hit never pays the compression build: the gather table is
-        memoized on the DFA by get_or_build, so asking again returns
-        the same object without rebuilding."""
+        """The cache pre-builds no gather table: the table is built
+        where it is first read and memoized on the entry's DFA, so
+        asking again returns the same object without rebuilding."""
         cache = AutomatonCache(capacity=8)
         entry, _ = cache.get_or_build(PATTERNS, stt_backend=backend)
         t1 = entry.dfa.gather_table(backend)
         t2 = entry.dfa.gather_table(backend)
         assert t1 is t2
         assert t1 is not None
+
+    @pytest.mark.parametrize("backend", ["dense", "compact", "banded", "bitmap"])
+    def test_insert_builds_no_gather_table(self, backend):
+        cache = AutomatonCache(capacity=8)
+        entry, _ = cache.get_or_build(PATTERNS, stt_backend=backend)
+        assert entry.dfa._backends == {} and entry.dfa._compact is None
 
 
 class TestEvictionWithBackends:

@@ -18,6 +18,7 @@ from repro.core.delta import PatternDelta
 from repro.core.serial import match_serial
 from repro.core.streaming import StreamMatcher
 from repro.errors import (
+    DeltaError,
     IntegrityError,
     KernelTimeoutError,
     OverlapBudgetError,
@@ -84,6 +85,21 @@ class TestSwapProtocol:
         scratch = DFA.build(mgr.active("ids").patterns)
         text = b"ushers in the house say hers"
         assert match_serial(built.dfa, text) == match_serial(scratch, text)
+
+    @pytest.mark.parametrize("source", ["delta", "patterns"])
+    def test_every_swap_is_one_scratch_build(self, source):
+        mgr = manager()
+        mgr.register("ids", V1)
+        if source == "delta":
+            report = mgr.swap("ids", ADD)
+        else:
+            report = mgr.swap("ids", patterns=V1 + ["usher"])
+        built = mgr.active("ids").built
+        scratch = DFA.build(PatternSet.from_strings(V1 + ["usher"]))
+        assert np.array_equal(built.dfa.stt.table, scratch.stt.table)
+        assert np.array_equal(built.dfa.out_ids, scratch.out_ids)
+        assert report.dirty_rows == scratch.n_states
+        assert report.reused_rows == 0
 
     def test_undrained_old_epoch_drains_then_retires(self):
         mgr = manager()
@@ -180,6 +196,22 @@ class TestAbortAndRollback:
         assert report.to_version is None
         assert report.error_type == error.__name__
         assert report.rolled_back_to == 1
+
+    def test_delta_swap_runs_under_rebuild_watchdog(self):
+        mgr = manager(injector=_single(FaultKind.REBUILD_TIMEOUT))
+        mgr.register("ids", V1)
+        with pytest.raises(KernelTimeoutError, match="swap watchdog"):
+            mgr.swap("ids", ADD)
+        assert mgr.active("ids").version == 1
+        assert mgr.registry.head("ids").version == 1
+
+    def test_delta_emptying_the_set_aborts(self):
+        mgr = manager()
+        mgr.register("ids", V1)
+        with pytest.raises(DeltaError, match="empty"):
+            mgr.swap("ids", PatternDelta.from_strings(removed=V1))
+        assert mgr.swaps[-1].aborted
+        assert mgr.active("ids").version == 1
 
     def test_transient_fault_clears_on_retry(self):
         mgr = manager(

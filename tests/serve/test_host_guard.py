@@ -14,6 +14,12 @@ skipped re-verify silently drops the "she" and "he" matches there.
 A device copy that fails its launch check is released with the failed
 batch, so the next batch rebinds from the verified host table instead
 of failing the same check and falling back again.
+
+A bind copies only bytes a CRC has just covered: the ``compact`` device
+copy is fused straight from the verified dense STT, never from the
+DFA's alphabet-compacted memo (``DFA.compact_stt``), which no CRC
+covers.  The memo probe routes δ(state after "s", "h") to the root in
+that memo, which would drop "she", "he" and "hers" from "ushers".
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from repro.serve import EpochManager, ScanScheduler
 
 RULES = PatternSet.from_strings(["he", "she", "his", "hers"])
 TEXTS = ["ushers", "she sells", "his hers"]
+#: Six matches: she, he and hers in "ushers", his, he and hers.
+BIND_TEXTS = ["ushers and his hers"]
 REBUILDS = "epoch_corrupt_rebuilds_total"
 
 
@@ -45,10 +53,10 @@ class Served:
             epochs.register("ids", RULES)
             self.sched = ScanScheduler(backend=backend, epochs=epochs)
 
-    def serve(self):
+    def serve(self, texts=TEXTS):
         if self.path == "anonymous":
-            return self.sched.scan_many(RULES, TEXTS)
-        return self.sched.scan_many_named("ids", TEXTS)
+            return self.sched.scan_many(RULES, texts)
+        return self.sched.scan_many_named("ids", texts)
 
     @property
     def matcher(self):
@@ -70,6 +78,25 @@ class Served:
         finally:
             table.setflags(write=False)
 
+    def corrupt_compact_memo(self) -> None:
+        """Route δ(state after "s", "h") to the root in the DFA's
+        compacted memo, the table no CRC covers."""
+        if self.path == "anonymous":
+            entry, _ = self.sched.cache.get_or_build(
+                RULES, stt_backend=self.sched.stt_backend
+            )
+            dfa = entry.dfa
+        else:
+            dfa = self.sched.epochs.active("ids").built.dfa
+        compact = dfa.compact_stt()
+        state = int(dfa.stt.table[0, ord("s")])
+        table = compact.table
+        table.setflags(write=True)
+        try:
+            table[state, compact.class_of[ord("h")]] = 0
+        finally:
+            table.setflags(write=False)
+
     def corrupt_device_block(self) -> None:
         """Flip one bit in the first block of the bound copy."""
         data = self.matcher.device.gather_arrays[0].data
@@ -82,13 +109,13 @@ class Served:
         return int(self.metrics.counter(REBUILDS).value())
 
 
-def expected():
+def expected(texts=TEXTS):
     fresh = DFA.build(RULES)
-    return [match_serial_python(fresh, t) for t in TEXTS]
+    return [match_serial_python(fresh, t) for t in texts]
 
 
-def assert_exact(results) -> None:
-    assert [r.as_pairs() for r in results] == expected()
+def assert_exact(results, texts=TEXTS) -> None:
+    assert [r.as_pairs() for r in results] == expected(texts)
 
 
 @pytest.mark.parametrize("path", ["anonymous", "named"])
@@ -143,4 +170,30 @@ def test_failed_binding_is_released(path):
     assert fallback.fallback_request_ids
     assert not rebind.bind_skipped and not rebind.fallback_request_ids
     assert resident.bind_skipped and not resident.fallback_request_ids
+    assert served.healed() == 0
+
+
+@pytest.mark.parametrize("path", ["anonymous", "named"])
+def test_first_bind_reads_only_the_verified_dense_stt(path):
+    served = Served(path)
+    served.corrupt_compact_memo()
+    results = served.serve(BIND_TEXTS)
+    assert not served.sched.reports[-1].fallback_request_ids
+    assert len(results[0]) == 6
+    assert_exact(results, BIND_TEXTS)
+
+
+@pytest.mark.parametrize("path", ["anonymous", "named"])
+def test_rebind_after_failed_launch_reads_only_the_verified_dense_stt(path):
+    served = Served(path)
+    served.serve(BIND_TEXTS)
+    served.corrupt_compact_memo()
+    served.corrupt_device_block()
+    fallback = served.serve(BIND_TEXTS)
+    assert served.sched.reports[-1].fallback_request_ids
+    rebind = served.serve(BIND_TEXTS)
+    report = served.sched.reports[-1]
+    assert not report.bind_skipped and not report.fallback_request_ids
+    assert_exact(rebind, BIND_TEXTS)
+    assert_exact(fallback, BIND_TEXTS)
     assert served.healed() == 0
