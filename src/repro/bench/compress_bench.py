@@ -20,10 +20,11 @@ reports, per ``(patterns, backend)`` cell:
 
 Cells export through the standard :class:`~repro.obs.BenchCollector`
 (bench schema v2 with the per-cell ``stt`` block), so ``repro-ac
-perfdiff`` gates them like any other cell, and the run itself enforces
+perfdiff`` gates them like any other cell, and the sweep is gated on
 the headline acceptance bar: the best compressed backend must reach
 ``min_ratio`` (default 4x) memory reduction at ``gate_patterns``
-(default 20k) or :class:`~repro.errors.ExperimentError` is raised.
+(default 20k) or :func:`ratio_gate` raises
+:class:`~repro.errors.ExperimentError`.
 
 Everything is seeded — dictionaries, corpus text, planted matches —
 so replaying a sweep reproduces byte-identical cells.
@@ -167,11 +168,9 @@ def run_compress_bench(
     scale: float = 0.005,
     seed: int = 2013,
     size_label: str = "1MB",
-    min_ratio: float = 4.0,
-    gate_patterns: int = 20_000,
-    out: Optional[str] = None,
-) -> str:
-    """Sweep ``pattern_counts`` x ``backends``; gate; return the report.
+    collector: Optional[BenchCollector] = None,
+) -> List[CellResult]:
+    """Sweep ``pattern_counts`` x ``backends``; one cell each.
 
     Each cell runs the shared-memory kernel (the paper's headline
     configuration) over the same planted corpus bytes through one STT
@@ -179,11 +178,8 @@ def run_compress_bench(
     :class:`~repro.bench.runner.ExperimentRunner` is reused across
     backends — ``stt_backend`` is part of its cell-cache key — so the
     expensive 50k-pattern automaton builds once per dictionary size.
-
-    When ``out`` is given the validated bench document is written
-    first, so a gate failure still leaves the artifact for inspection;
-    then, if the best compressed ratio at ``gate_patterns`` falls below
-    ``min_ratio``, :class:`~repro.errors.ExperimentError` is raised.
+    ``collector`` records every cell; :func:`ratio_gate` then applies
+    the acceptance bar, so a caller can write the document first.
     """
     if not pattern_counts:
         raise ExperimentError("pattern_counts must be non-empty")
@@ -191,7 +187,6 @@ def run_compress_bench(
     if not resolved:
         raise ExperimentError("backends must be non-empty")
 
-    collector = BenchCollector(label="compress-bench")
     runner = ExperimentRunner(
         scale=scale,
         seed=seed,
@@ -201,12 +196,13 @@ def run_compress_bench(
     runner.factory = SnortDatasetFactory(
         seed=seed, scale=scale, base_size=size_label
     )
-    # The runner registered its construction-time config; the sweep
-    # mutates stt_backend per cell (cells self-describe via their
-    # ``stt`` block), so record the full sweep in the document config.
-    collector.config["stt_backend"] = "+".join(resolved)
-    collector.config["workload"] = "snort-synthetic"
-    collector.config["base_size"] = size_label
+    if collector is not None:
+        # The runner registered its construction-time config; the sweep
+        # mutates stt_backend per cell (cells self-describe via their
+        # ``stt`` block), so record the full sweep in the document config.
+        collector.config["stt_backend"] = "+".join(resolved)
+        collector.config["workload"] = "snort-synthetic"
+        collector.config["base_size"] = size_label
 
     cells: List[CellResult] = []
     for n in pattern_counts:
@@ -215,41 +211,41 @@ def run_compress_bench(
             cells.append(
                 runner.run_cell(cell_label(n, backend), n, kernels=("shared",))
             )
+    return cells
 
-    if out is not None:
-        collector.write_json(out)
 
-    reference = resolved[0]
-    report_lines = [
-        "compress-bench: synthetic snort contents, "
-        f"text={size_label}, scale={scale}, seed={seed}",
-        render_cells(cells, reference_backend=reference),
+def ratio_gate(
+    cells: Sequence[CellResult],
+    gate_patterns: int = 20_000,
+    min_ratio: float = 4.0,
+) -> str:
+    """The acceptance bar's verdict line for a sweep's cells.
+
+    Raises :class:`~repro.errors.ExperimentError` when the best
+    compressed ratio at ``gate_patterns`` falls below ``min_ratio``, or
+    when the sweep has no compressed backend there to gate.
+    """
+    if gate_patterns not in {c.n_patterns for c in cells}:
+        return f"gate: skipped ({gate_patterns} patterns not in sweep)"
+    gated = [
+        c
+        for c in cells
+        if c.n_patterns == gate_patterns
+        and c.stt is not None
+        and c.stt["backend"] not in ("dense", "compact")
     ]
-
-    if gate_patterns in set(pattern_counts):
-        gated = [
-            c
-            for c in cells
-            if c.n_patterns == gate_patterns
-            and c.stt is not None
-            and c.stt["backend"] not in ("dense", "compact")
-        ]
-        if not gated:
-            raise ExperimentError(
-                f"ratio gate needs a compressed backend (banded/bitmap) at "
-                f"{gate_patterns} patterns; swept backends: {resolved}"
-            )
-        best = max(gated, key=lambda c: c.stt["ratio"])
-        verdict = (
-            f"gate: best compressed ratio @ {gate_patterns} patterns = "
-            f"{best.stt['ratio']:.2f}x ({best.stt['backend']}), "
-            f"required >= {min_ratio:.2f}x"
+    if not gated:
+        swept = sorted({c.stt["backend"] for c in cells if c.stt is not None})
+        raise ExperimentError(
+            f"ratio gate needs a compressed backend (banded/bitmap) at "
+            f"{gate_patterns} patterns; swept backends: {swept}"
         )
-        if best.stt["ratio"] < min_ratio:
-            raise ExperimentError(verdict + " -- FAIL")
-        report_lines.append(verdict + " -- OK")
-    else:
-        report_lines.append(
-            f"gate: skipped ({gate_patterns} patterns not in sweep)"
-        )
-    return "\n".join(report_lines)
+    best = max(gated, key=lambda c: c.stt["ratio"])
+    verdict = (
+        f"gate: best compressed ratio @ {gate_patterns} patterns = "
+        f"{best.stt['ratio']:.2f}x ({best.stt['backend']}), "
+        f"required >= {min_ratio:.2f}x"
+    )
+    if best.stt["ratio"] < min_ratio:
+        raise ExperimentError(verdict + " -- FAIL")
+    return verdict + " -- OK"

@@ -25,6 +25,7 @@ import numpy as np
 from repro.bench.cpu_model import (
     CpuConfig,
     SerialCost,
+    multicore_cost,
     serial_cost_from_histogram,
 )
 from repro.compress.backend import DEFAULT_BACKEND, cost_of, resolve_backend
@@ -34,7 +35,7 @@ from repro.errors import ExperimentError
 from repro.gpu.config import DeviceConfig, gtx285
 from repro.gpu.counters import TimingBreakdown
 from repro.gpu.device import Device
-from repro.kernels.base import CostParams, KernelResult
+from repro.kernels.base import KernelResult, TextureLineHistogram
 from repro.kernels.global_only import run_global_kernel
 from repro.kernels.pfac import run_pfac_kernel
 from repro.kernels.shared_mem import run_shared_variants
@@ -54,6 +55,21 @@ KERNEL_NAMES = (
     "shared_global_stt",
     "pfac",
 )
+
+#: The modeled GPU (the paper's GTX 285) and serial CPU every bench
+#: cell is priced on.
+DEVICE_CONFIG = gtx285()
+CPU = CpuConfig()
+
+#: Launch geometry of the bench cells: the global kernel's chunk length
+#: and the shared kernel's block size and per-thread chunk (EXPERIMENTS.md).
+GLOBAL_CHUNK_LEN = 512
+SHARED_THREADS_PER_BLOCK = 128
+SHARED_CHUNK_BYTES = 64
+
+#: Core count priced into the ``serial_mt`` baseline (0: the modeled
+#: chip's full core count, ``CPU.n_cores``).
+MT_WORKERS = 0
 
 #: The shared kernel's bench variants, each a ``(scheme,
 #: stt_in_texture)`` pair.  They differ only in staging templates and
@@ -198,6 +214,44 @@ def counter_summary(result: KernelResult) -> Dict[str, float]:
     }
 
 
+def launch_entry(
+    result: KernelResult, name: str, seconds: float, gbps: float, matches: int
+) -> ScaledKernel:
+    """A bench kernel entry priced by its caller from *result*'s launch.
+
+    The serving, swap and SLO benches export modeled host schedules
+    (``seconds``/``gbps``) over one measured launch, whose regime, hit
+    rate, conflict degree, occupancy and counters every entry copies.
+    """
+    return ScaledKernel(
+        name=name,
+        seconds=seconds,
+        gbps=gbps,
+        regime=result.timing.regime,
+        tex_hit_rate=result.counters.texture_hit_rate,
+        avg_conflict_degree=result.counters.avg_conflict_degree,
+        warps_per_sm=result.occupancy.warps_per_sm,
+        matches=matches,
+        counters=counter_summary(result),
+    )
+
+
+def cpu_baselines(
+    dfa: DFA, data: np.ndarray, paper_bytes: int
+) -> Tuple[SerialCost, SerialCost]:
+    """The modeled ``(serial, serial_mt)`` CPU costs of scanning *data*.
+
+    One sink-only walk feeds a texture-line histogram at the CPU's
+    line size, which the L2 model prices over *paper_bytes*; the
+    multicore cost follows from the serial one.
+    """
+    hist = TextureLineHistogram(dfa.n_states, CPU.line_bytes)
+    feed_sinks(dfa, data, [hist], chunk_len=4096)
+    uniq, counts = hist.nonzero()
+    serial = serial_cost_from_histogram(uniq, counts, paper_bytes, CPU)
+    return serial, multicore_cost(serial, CPU, n_cores=MT_WORKERS)
+
+
 class ExperimentRunner:
     """Executes grid cells with caching of dictionaries and cells.
 
@@ -216,15 +270,8 @@ class ExperimentRunner:
         self,
         scale: float = 0.01,
         seed: int = 2013,
-        device_config: Optional[DeviceConfig] = None,
-        cpu: Optional[CpuConfig] = None,
-        params: Optional[CostParams] = None,
-        global_chunk_len: int = 512,
-        shared_threads_per_block: int = 128,
-        shared_chunk_bytes: int = 64,
         wave_correction: bool = False,
         stt_backend: str = DEFAULT_BACKEND,
-        mt_workers: int = 0,
         collector=None,
         tracer=None,
         profiler=None,
@@ -237,25 +284,12 @@ class ExperimentRunner:
         #: which table layout they priced.
         self.stt_backend = resolve_backend(stt_backend)
         self.factory = DatasetFactory(seed=seed, scale=scale)
-        self.device_config = device_config or gtx285()
-        self.cpu = cpu or CpuConfig()
-        self.params = params or CostParams()
-        self.global_chunk_len = global_chunk_len
-        self.shared_threads_per_block = shared_threads_per_block
-        self.shared_chunk_bytes = shared_chunk_bytes
         #: Opt-in: multiply each kernel body by the wave-quantization
         #: factor of its (paper-scale) grid.  The even-division default
         #: matches the calibration in EXPERIMENTS.md; the correction
         #: exposes the small-input underutilization the paper's 50 KB
         #: cells really suffer (see repro.analysis.waves).
         self.wave_correction = wave_correction
-        #: Core count priced into the ``serial_mt`` baseline (0 → the
-        #: modeled chip's full core count, ``cpu.n_cores``).  The bench
-        #: cells stay deterministic — ``serial_mt`` is priced by the
-        #: :func:`~repro.bench.cpu_model.multicore_cost` contention
-        #: model, while :meth:`measure_serial_mt` measures the real
-        #: thread-pool matcher for cross-validation.
-        self.mt_workers = mt_workers
         self.collector = collector
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Optional :class:`~repro.obs.KernelProfiler`: the requested
@@ -271,39 +305,30 @@ class ExperimentRunner:
         #: (cell, launch family, configuration) → every kernel of the
         #: family priced from that launch (see :meth:`_priced_family`),
         #: and (cell, ``"serial"``, configuration) → the cell's
-        #: :class:`SerialCost` (see :meth:`_serial`).
+        #: ``(serial, serial_mt)`` costs (see :meth:`_serial`).
         self._priced: Dict[tuple, Any] = {}
 
     def config_dict(self) -> Dict[str, object]:
-        """The tunable configuration, export form (bench documents)."""
+        """The cell configuration, export form (bench documents)."""
         return {
             "scale": self.scale,
             "seed": self.seed,
-            "global_chunk_len": self.global_chunk_len,
-            "shared_threads_per_block": self.shared_threads_per_block,
-            "shared_chunk_bytes": self.shared_chunk_bytes,
+            "global_chunk_len": GLOBAL_CHUNK_LEN,
+            "shared_threads_per_block": SHARED_THREADS_PER_BLOCK,
+            "shared_chunk_bytes": SHARED_CHUNK_BYTES,
             "wave_correction": self.wave_correction,
             "stt_backend": self.stt_backend,
-            "mt_workers": self.mt_workers,
+            "mt_workers": MT_WORKERS,
         }
 
     def _config_key(self) -> tuple:
         """The mutable knobs that change what a cell measures.
 
-        Part of every cell-cache key: mutating ``wave_correction``,
-        ``shared_chunk_bytes``, ``shared_threads_per_block`` or
-        ``global_chunk_len`` between runs must invalidate cached cells
+        Part of every cell-cache key: mutating ``wave_correction`` or
+        ``stt_backend`` between runs must invalidate cached cells
         (regression: stale results used to be returned).
         """
-        return (
-            self.global_chunk_len,
-            self.shared_threads_per_block,
-            self.shared_chunk_bytes,
-            self.wave_correction,
-            self.stt_backend,
-            self.mt_workers,
-            self.params,
-        )
+        return (self.wave_correction, self.stt_backend)
 
     # -- building blocks ---------------------------------------------------
     def _stt_block(self, dfa: DFA) -> Dict[str, Any]:
@@ -330,8 +355,8 @@ class ExperimentRunner:
 
     def _serial(
         self, size_label: str, n_patterns: int, cell: Workload, dfa: DFA
-    ) -> SerialCost:
-        """The cell's modeled single-core cost, from one sink-only walk.
+    ) -> Tuple[SerialCost, SerialCost]:
+        """The cell's modeled CPU costs (:func:`cpu_baselines`).
 
         Kept per (cell, configuration) beside the launch families, so a
         later figure that asks the cell for ``serial`` or ``serial_mt``
@@ -339,14 +364,7 @@ class ExperimentRunner:
         """
         key = (size_label, n_patterns, "serial", self._config_key())
         if key not in self._priced:
-            from repro.kernels.base import TextureLineHistogram
-
-            hist = TextureLineHistogram(dfa.n_states, self.cpu.line_bytes)
-            feed_sinks(dfa, cell.data, [hist], chunk_len=4096)
-            uniq, counts = hist.nonzero()
-            self._priced[key] = serial_cost_from_histogram(
-                uniq, counts, cell.paper_bytes, self.cpu
-            )
+            self._priced[key] = cpu_baselines(dfa, cell.data, cell.paper_bytes)
         return self._priced[key]
 
     def _scaled(
@@ -365,13 +383,13 @@ class ExperimentRunner:
                     result.launch.threads_per_block,
                     result.launch.shared_bytes_per_block,
                 ),
-                self.device_config,
+                DEVICE_CONFIG,
             )
             body_multiplier = max(wa.quantization_factor, 1.0)
         seconds, gbps, regime = scale_breakdown(
             result.timing,
             factor,
-            self.device_config,
+            DEVICE_CONFIG,
             cell.paper_bytes,
             body_multiplier=body_multiplier,
         )
@@ -405,23 +423,24 @@ class ExperimentRunner:
         key = (size_label, n_patterns, family, self._config_key())
         if key in self._priced:
             return self._priced[key]
-        device = Device(self.device_config)
+        device = Device(DEVICE_CONFIG)
         device.bind_texture(dfa, self.stt_backend)
-        common = dict(params=self.params, stt_backend=self.stt_backend)
+        backend = self.stt_backend
         if family == "shared":
             results = run_shared_variants(
                 dfa, cell.data, device, variants=SHARED_VARIANTS,
-                threads_per_block=self.shared_threads_per_block,
-                chunk_bytes=self.shared_chunk_bytes, **common,
+                threads_per_block=SHARED_THREADS_PER_BLOCK,
+                chunk_bytes=SHARED_CHUNK_BYTES, stt_backend=backend,
             )
         elif family == "global":
             r = run_global_kernel(
-                dfa, cell.data, device, chunk_len=self.global_chunk_len,
-                **common,
+                dfa, cell.data, device, chunk_len=GLOBAL_CHUNK_LEN,
+                stt_backend=backend,
             )
             results = {"global": r}
         else:
-            results = {"pfac": run_pfac_kernel(dfa, cell.data, device, **common)}
+            r = run_pfac_kernel(dfa, cell.data, device, stt_backend=backend)
+            results = {"pfac": r}
         priced = self._priced[key] = {
             name: (
                 self._scaled(r, cell, name if family == "shared" else r.name),
@@ -493,13 +512,11 @@ class ExperimentRunner:
         )
 
         if "serial" in kernels or "serial_mt" in kernels:
-            out.serial = self._serial(size_label, n_patterns, cell, dfa)
-        if "serial_mt" in kernels:
-            from repro.bench.cpu_model import multicore_cost
-
-            out.serial_mt = multicore_cost(
-                out.serial, self.cpu, n_cores=self.mt_workers
+            out.serial, serial_mt = self._serial(
+                size_label, n_patterns, cell, dfa
             )
+            if "serial_mt" in kernels:
+                out.serial_mt = serial_mt
         for name in ("global", *SHARED_VARIANTS, "pfac"):
             if name in kernels:
                 family = name if name in ("global", "pfac") else "shared"
@@ -539,7 +556,7 @@ class ExperimentRunner:
 
         cell = self.factory.cell(size_label, n_patterns)
         dfa = self.dfa_for(n_patterns)
-        workers = workers or self.mt_workers or self.cpu.n_cores
+        workers = workers or CPU.n_cores
         return measure_multicore(
             dfa,
             cell.data,

@@ -27,15 +27,14 @@ scheduler's modeled wins like any other kernel stat.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.runner import CellResult, ScaledKernel, counter_summary
+from repro.bench.runner import CellResult, launch_entry
 from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.dfa import DFA
 from repro.errors import ExperimentError
-from repro.gpu.config import DeviceConfig, gtx285
 from repro.gpu.device import Device
 from repro.kernels.shared_mem import run_shared_kernel
 from repro.serve import ScanScheduler
@@ -88,10 +87,7 @@ class ServeBenchmark:
         seed: int = 2013,
         n_patterns: int = 100,
         text_bytes: int = 4096,
-        device_config: Optional[DeviceConfig] = None,
         collector=None,
-        tracer=None,
-        metrics=None,
     ):
         if text_bytes < 1:
             raise ExperimentError(
@@ -100,10 +96,7 @@ class ServeBenchmark:
         self.seed = seed
         self.n_patterns = n_patterns
         self.text_bytes = text_bytes
-        self.device_config = device_config or gtx285()
         self.collector = collector
-        self.tracer = tracer
-        self.metrics = metrics
         self.factory = DatasetFactory(seed=seed)
         self._dfa: Optional[DFA] = None
         if collector is not None:
@@ -141,7 +134,7 @@ class ServeBenchmark:
         stt_bytes = self.dfa.stt.stats().bytes_total
         total = 0.0
         for text in texts:
-            device = Device(self.device_config)
+            device = Device()
             device.bind_texture(self.dfa, DEFAULT_BACKEND)
             kr = run_shared_kernel(self.dfa, text, device)
             total += (
@@ -161,26 +154,20 @@ class ServeBenchmark:
         total_bytes = sum(t.nbytes for t in texts)
         patterns = self.factory.patterns_for(self.n_patterns)
 
-        scheduler = ScanScheduler(
-            backend="gpu",
-            max_batch=batch_size,
-            device_config=self.device_config,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
+        scheduler = ScanScheduler(backend="gpu", max_batch=batch_size)
         sched_results = scheduler.scan_many(patterns, texts)
         report = scheduler.reports[-1]
         if report.timing is None:
             raise ExperimentError("the gpu batch report carries no pipeline timing")
 
         # The reference: each text scanned alone on a fresh device.
-        oracle_device = Device(self.device_config)
+        oracle_device = Device()
         oracle_device.bind_texture(self.dfa, DEFAULT_BACKEND)
         batch_kr = run_shared_kernel(
             self.dfa, np.concatenate(texts), oracle_device
         )
         for text, got in zip(texts, sched_results):
-            ref_dev = Device(self.device_config)
+            ref_dev = Device()
             ref_dev.bind_texture(self.dfa, DEFAULT_BACKEND)
             ref = run_shared_kernel(self.dfa, text, ref_dev).matches
             if got != ref:
@@ -211,23 +198,14 @@ class ServeBenchmark:
         the same functional kernel over the same bytes; only the
         modeled host-side schedule (seconds/gbps) differs.
         """
-
-        def _entry(name: str, seconds: float) -> ScaledKernel:
-            return ScaledKernel(
-                name=name,
-                seconds=seconds,
-                gbps=cell.gbps(seconds),
-                regime=batch_kr.timing.regime,
-                tex_hit_rate=batch_kr.counters.texture_hit_rate,
-                avg_conflict_degree=batch_kr.counters.avg_conflict_degree,
-                warps_per_sm=batch_kr.occupancy.warps_per_sm,
-                matches=cell.matches,
-                counters=counter_summary(batch_kr),
+        kernels = {
+            name: launch_entry(
+                batch_kr, name, seconds, cell.gbps(seconds), cell.matches
             )
-
-        kernels: Dict[str, ScaledKernel] = {
-            "scheduler": _entry("scheduler", cell.scheduler_seconds),
-            "per_request": _entry("per_request", cell.per_request_seconds),
+            for name, seconds in (
+                ("scheduler", cell.scheduler_seconds),
+                ("per_request", cell.per_request_seconds),
+            )
         }
         return CellResult(
             size_label=f"batch{cell.batch_size}",

@@ -8,8 +8,9 @@ serving plane: a seeded multi-tenant workload drives the
 decomposes into queue-wait vs. pipeline time per tenant (docs/MODEL.md
 §12).
 
-The run is a windowed timeline on a :class:`~repro.obs.slo.ManualClock`
-(every number replays bit-identically):
+The run is a fixed windowed timeline on a
+:class:`~repro.obs.slo.ManualClock` (every number replays
+bit-identically):
 
 * **steady** windows — each tenant submits a small request burst per
   window; queue waits stay well inside the latency objectives;
@@ -25,10 +26,8 @@ alert may fire, and the run *asserts* the fire → clear sequence (plus
 the innocence of every other tenant) before reporting anything — a
 failed gate raises :class:`~repro.errors.ExperimentError`.
 
-Payload generation fans out over ``workers`` threads
-(the :func:`~repro.core.multicore.scan_multicore` pool idiom), each draw
-seeded by ``(seed, tenant, window)`` so completion order cannot change
-a byte of the workload.
+Each (tenant, window) batch of payloads is drawn from a generator
+seeded by ``(seed, tenant, window)``, so no batch depends on another.
 
 Exported cells (bench schema v2, gated by ``repro-ac perfdiff``):
 
@@ -43,17 +42,15 @@ Exported cells (bench schema v2, gated by ``repro-ac perfdiff``):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.runner import CellResult, ScaledKernel, counter_summary
+from repro.bench.runner import CellResult, launch_entry
 from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.dfa import DFA
 from repro.errors import ExperimentError
-from repro.gpu.config import DeviceConfig, gtx285
 from repro.gpu.device import Device
 from repro.kernels.shared_mem import run_shared_kernel
 from repro.obs import EventLog, Metrics
@@ -89,6 +86,20 @@ DEFAULT_TENANTS = (
 
 #: Timeline phases, in order.
 PHASES = ("steady", "during_burst", "recovery")
+
+#: Timeline shape: window length and windows per phase.  The ring holds
+#: 8 frames and the burn rule reads a 1-window fast and 4-window slow
+#: lookback, so the recovery phase gives the burst time to age out.
+WINDOW_SECONDS = 0.01
+STEADY_WINDOWS = 3
+BURST_WINDOWS = 2
+RECOVERY_WINDOWS = 5
+N_WINDOWS = STEADY_WINDOWS + BURST_WINDOWS + RECOVERY_WINDOWS
+
+#: Manual-clock advance between consecutive submissions; with the
+#: per-tenant drain, a tenant submitting ``k`` requests sees queue
+#: waits up to ``(k - 1) * INTER_ARRIVAL_SECONDS``.
+INTER_ARRIVAL_SECONDS = 2e-5
 
 
 @dataclass
@@ -134,20 +145,10 @@ class SloBenchmark:
         and windowed number derive from it.
     tenants:
         Tenant mix (first entry is the burst victim).
-    window_seconds / steady_windows / burst_windows / recovery_windows:
-        Timeline shape.  The ring holds ``n_windows`` frames and the
-        burn rule reads a 1-window fast and 4-window slow lookback, so
-        ``recovery_windows`` must give the burst time to age out.
-    inter_arrival_seconds:
-        Manual-clock advance between consecutive submissions; with the
-        per-tenant drain, a tenant submitting ``k`` requests sees queue
-        waits up to ``(k - 1) * inter_arrival``.
     burst_factor:
         Multiplier on the victim's steady load during burst windows.
     text_bytes:
         Bytes per request payload.
-    workers:
-        Thread-pool width for payload generation.
     """
 
     def __init__(
@@ -155,37 +156,21 @@ class SloBenchmark:
         *,
         seed: int = 2013,
         tenants: Sequence[TenantSpec] = DEFAULT_TENANTS,
-        window_seconds: float = 0.01,
-        steady_windows: int = 3,
-        burst_windows: int = 2,
-        recovery_windows: int = 5,
-        inter_arrival_seconds: float = 2e-5,
         burst_factor: int = 5,
         text_bytes: int = 512,
-        device_config: Optional[DeviceConfig] = None,
         collector=None,
-        workers: int = 3,
     ):
         if not tenants:
             raise ExperimentError("need at least one tenant")
-        if min(steady_windows, burst_windows, recovery_windows) < 1:
-            raise ExperimentError("every phase needs at least one window")
         if burst_factor < 2:
             raise ExperimentError(
                 f"burst_factor must be >= 2, got {burst_factor}"
             )
         self.seed = seed
         self.tenants = tuple(tenants)
-        self.window_seconds = window_seconds
-        self.steady_windows = steady_windows
-        self.burst_windows = burst_windows
-        self.recovery_windows = recovery_windows
-        self.inter_arrival = inter_arrival_seconds
         self.burst_factor = burst_factor
         self.text_bytes = text_bytes
-        self.device_config = device_config or gtx285()
         self.collector = collector
-        self.workers = workers
         self.factory = DatasetFactory(seed=seed)
         # Thresholds sized to the modeled timeline: steady waits are
         # (requests_per_window - 1) * inter_arrival, burst waits are
@@ -193,7 +178,7 @@ class SloBenchmark:
         # steady is clean and the burst breaches deterministically.
         steady_wait = (
             max(t.requests_per_window for t in self.tenants)
-            * self.inter_arrival
+            * INTER_ARRIVAL_SECONDS
         )
         self.policy = SloPolicy(
             objectives=(
@@ -206,7 +191,7 @@ class SloBenchmark:
                     threshold=2.5 * steady_wait, target=0.95,
                 ),
             ),
-            window_seconds=window_seconds,
+            window_seconds=WINDOW_SECONDS,
             n_windows=8,
             burn=BurnRatePolicy(
                 fast_windows=1, slow_windows=4,
@@ -217,7 +202,7 @@ class SloBenchmark:
             collector.on_runner(
                 {
                     "seed": seed,
-                    "slo_window_seconds": window_seconds,
+                    "slo_window_seconds": WINDOW_SECONDS,
                     "slo_tenants": len(self.tenants),
                     "slo_burst_factor": burst_factor,
                     "slo_text_bytes": text_bytes,
@@ -226,18 +211,12 @@ class SloBenchmark:
 
     # -- workload --------------------------------------------------------
 
-    @property
-    def n_windows_total(self) -> int:
-        """Length of the timeline in windows."""
-        return (
-            self.steady_windows + self.burst_windows + self.recovery_windows
-        )
-
-    def phase_of(self, window: int) -> str:
+    @staticmethod
+    def phase_of(window: int) -> str:
         """Which phase a window index belongs to."""
-        if window < self.steady_windows:
+        if window < STEADY_WINDOWS:
             return "steady"
-        if window < self.steady_windows + self.burst_windows:
+        if window < STEADY_WINDOWS + BURST_WINDOWS:
             return "during_burst"
         return "recovery"
 
@@ -262,24 +241,12 @@ class SloBenchmark:
         ]
 
     def _generate_payloads(self) -> Dict[Tuple[str, int], List[np.ndarray]]:
-        """Fan payload generation out over the worker pool.
-
-        Each job's generator is seeded by its own (tenant, window) key,
-        so the pool's completion order cannot change the workload.
-        """
-        jobs = [
-            (idx, w)
-            for idx in range(len(self.tenants))
-            for w in range(self.n_windows_total)
-        ]
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            produced = pool.map(
-                lambda job: (job, self._payload(*job)), jobs
-            )
-            return {
-                (self.tenants[idx].name, w): texts
-                for (idx, w), texts in produced
-            }
+        """Every (tenant, window) batch of the timeline."""
+        return {
+            (spec.name, w): self._payload(idx, w)
+            for idx, spec in enumerate(self.tenants)
+            for w in range(N_WINDOWS)
+        }
 
     # -- the run ---------------------------------------------------------
 
@@ -296,9 +263,8 @@ class SloBenchmark:
             max_batch=max(
                 self.requests_in(s, w)
                 for s in self.tenants
-                for w in range(self.n_windows_total)
+                for w in range(N_WINDOWS)
             ),
-            device_config=self.device_config,
             metrics=metrics,
             clock=clock,
             slo=tracker,
@@ -318,7 +284,7 @@ class SloBenchmark:
         transitions: List[Tuple[int, AlertTransition]] = []
         peak_slow: Dict[str, float] = {s.name: 0.0 for s in self.tenants}
 
-        for w in range(self.n_windows_total):
+        for w in range(N_WINDOWS):
             phase = self.phase_of(w)
             for spec in self.tenants:
                 texts = payloads[(spec.name, w)]
@@ -329,7 +295,7 @@ class SloBenchmark:
                             patterns[spec.name], text, tenant=spec.name
                         )
                     )
-                    clock.advance(self.inter_arrival)
+                    clock.advance(INTER_ARRIVAL_SECONDS)
                 scheduler.drain()
                 for ticket in tickets:
                     matches[spec.name] += len(ticket.result())
@@ -350,7 +316,7 @@ class SloBenchmark:
                         windows=self.policy.burn.slow_windows,
                     ),
                 )
-            clock.advance((w + 1) * self.window_seconds - clock.t)
+            clock.advance((w + 1) * WINDOW_SECONDS - clock.t)
 
         self._gate_episode(transitions, tracker, victim)
         snapshot = tracker.snapshot()
@@ -444,7 +410,7 @@ class SloBenchmark:
         """Emit the ``slo_*`` and ``slodip_*`` schema-v2 cell families."""
         for spec, row in zip(self.tenants, report.rows):
             dfa = DFA.build(patterns[spec.name])
-            device = Device(self.device_config)
+            device = Device()
             device.bind_texture(dfa, DEFAULT_BACKEND)
             kr = run_shared_kernel(
                 dfa,
@@ -452,40 +418,27 @@ class SloBenchmark:
                 device,
             )
 
-            def _entry(name: str, seconds: float) -> ScaledKernel:
-                return ScaledKernel(
-                    name=name,
-                    seconds=seconds,
-                    gbps=(
+            def _entries(seconds_by_name):
+                return {
+                    name: launch_entry(
+                        kr, name, seconds,
                         self.text_bytes * 8 / seconds / 1e9
-                        if seconds > 0
-                        else 0.0
-                    ),
-                    regime=kr.timing.regime,
-                    tex_hit_rate=kr.counters.texture_hit_rate,
-                    avg_conflict_degree=kr.counters.avg_conflict_degree,
-                    warps_per_sm=kr.occupancy.warps_per_sm,
-                    matches=row.matches,
-                    counters=counter_summary(kr),
-                )
-
-            kernels = {
-                "queue_wait_p50": _entry(
-                    "queue_wait_p50", row.queue_wait["p50"]
-                ),
-                "queue_wait_p99": _entry(
-                    "queue_wait_p99", row.queue_wait["p99"]
-                ),
-                "pipeline_p99": _entry("pipeline_p99", row.pipeline["p99"]),
-                "e2e_p50": _entry("e2e_p50", row.e2e["p50"]),
-                "e2e_p95": _entry("e2e_p95", row.e2e["p95"]),
-                "e2e_p99": _entry("e2e_p99", row.e2e["p99"]),
-            }
-            if spec.name == report.victim:
-                dip_kernels = {
-                    phase: _entry(phase, report.phase_p99[phase])
-                    for phase in PHASES
+                        if seconds > 0 else 0.0,
+                        row.matches,
+                    )
+                    for name, seconds in seconds_by_name.items()
                 }
+
+            kernels = _entries({
+                "queue_wait_p50": row.queue_wait["p50"],
+                "queue_wait_p99": row.queue_wait["p99"],
+                "pipeline_p99": row.pipeline["p99"],
+                "e2e_p50": row.e2e["p50"],
+                "e2e_p95": row.e2e["p95"],
+                "e2e_p99": row.e2e["p99"],
+            })
+            if spec.name == report.victim:
+                dip_kernels = _entries(report.phase_p99)
                 self.collector.on_cell(
                     CellResult(
                         size_label=f"slodip_{spec.name}",

@@ -35,25 +35,22 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.bench.cpu_model import (
-    CpuConfig,
-    SerialCost,
-    multicore_cost,
-    serial_cost_from_histogram,
+from repro.bench.runner import (
+    MT_WORKERS,
+    CellResult,
+    cpu_baselines,
+    launch_entry,
 )
-from repro.bench.runner import CellResult, ScaledKernel, counter_summary
 from repro.compress.backend import DEFAULT_BACKEND
 from repro.core.automaton import AhoCorasickAutomaton
 from repro.core.delta import DeltaBuilder, PatternDelta
 from repro.core.dfa import DFA
 from repro.core.integrity import stt_row_checksums
-from repro.core.tiled import feed_sinks
 from repro.errors import ExperimentError
-from repro.gpu.config import DeviceConfig, gtx285
 from repro.gpu.device import Device
 from repro.kernels.shared_mem import run_shared_kernel
 from repro.serve import ScanScheduler
@@ -140,9 +137,6 @@ class SwapBenchmark:
         rebuild_patterns: int = 20_000,
         text_bytes: int = 8192,
         dip_budget: float = 0.05,
-        device_config: Optional[DeviceConfig] = None,
-        cpu: Optional[CpuConfig] = None,
-        mt_workers: int = 0,
         collector=None,
     ):
         if not 0.0 < dip_budget < 1.0:
@@ -154,14 +148,6 @@ class SwapBenchmark:
         self.rebuild_patterns = rebuild_patterns
         self.text_bytes = text_bytes
         self.dip_budget = dip_budget
-        self.device_config = device_config or gtx285()
-        #: CPU model pricing the dip cells' serial / serial_mt
-        #: baselines (same histogram pricing as the experiment runner,
-        #: so swapdip cells carry non-null baseline slots like every
-        #: other committed cell).  ``mt_workers = 0`` prices serial_mt
-        #: at the chip's full core count.
-        self.cpu = cpu or CpuConfig()
-        self.mt_workers = mt_workers
         self.collector = collector
         self.factory = DatasetFactory(seed=seed)
         if collector is not None:
@@ -171,7 +157,7 @@ class SwapBenchmark:
                     "swap_n_patterns": n_patterns,
                     "swap_text_bytes": text_bytes,
                     "swap_dip_budget": dip_budget,
-                    "swap_mt_workers": mt_workers,
+                    "swap_mt_workers": MT_WORKERS,
                 }
             )
 
@@ -282,11 +268,7 @@ class SwapBenchmark:
         texts = self.texts_for(batch_size)
         total_bytes = sum(t.nbytes for t in texts)
 
-        scheduler = ScanScheduler(
-            backend="gpu",
-            max_batch=batch_size,
-            device_config=self.device_config,
-        )
+        scheduler = ScanScheduler(backend="gpu", max_batch=batch_size)
         scheduler.scan_many(patterns, texts)
         report = scheduler.reports[-1]
         if report.timing is None:
@@ -296,7 +278,7 @@ class SwapBenchmark:
         # The incoming epoch (the swap target) differs by a 1% delta;
         # its table is what must cross PCIe mid-serve.
         incoming = DFA.build(self._delta_for(patterns, 0.01).apply_to(patterns))
-        device = Device(self.device_config)
+        device = Device()
         stt_copy = device.copy_h2d_seconds(incoming.stt.stats().bytes_total)
         donation = self.dip_budget * steady
         window = max(1, math.ceil(stt_copy / donation))
@@ -305,7 +287,7 @@ class SwapBenchmark:
 
         dfa = DFA.build(patterns)
         batch = np.concatenate(texts)
-        oracle_device = Device(self.device_config)
+        oracle_device = Device()
         oracle_device.bind_texture(dfa, DEFAULT_BACKEND)
         batch_kr = run_shared_kernel(dfa, batch, oracle_device)
 
@@ -337,24 +319,6 @@ class SwapBenchmark:
         """Sweep batch sizes; one :class:`SwapDipCell` each."""
         return [self.run_dip_cell(b) for b in batch_sizes]
 
-    def _serial_baseline(self, dfa: DFA, batch: np.ndarray) -> SerialCost:
-        """Histogram-price the serial CPU scan of one batch's bytes.
-
-        Same pricing path as the experiment runner's ``serial``
-        baseline: a tiled functional scan feeds a texture-line
-        histogram, which the CPU cache model turns into seconds.
-        Swapdip cells run at sim scale (``paper_bytes == sim_bytes``),
-        so the batch's own byte count is the pricing denominator.
-        """
-        from repro.kernels.base import TextureLineHistogram
-
-        hist = TextureLineHistogram(dfa.n_states, self.cpu.line_bytes)
-        feed_sinks(dfa, batch, [hist], chunk_len=4096)
-        uniq, counts = hist.nonzero()
-        return serial_cost_from_histogram(
-            uniq, counts, int(batch.nbytes), self.cpu
-        )
-
     def _dip_cell_result(
         self, cell: SwapDipCell, dfa: DFA, batch_kr, batch: np.ndarray
     ) -> CellResult:
@@ -365,27 +329,20 @@ class SwapBenchmark:
         (seconds/gbps) differs, exactly like the serving benchmark's
         policy pairs.  The cell also carries the two CPU baselines so
         every ``serial`` / ``serial_mt`` slot in a committed bench
-        document is non-null, swapdip family included.
+        document is non-null, swapdip family included.  Swapdip cells
+        run at sim scale (``paper_bytes == sim_bytes``), so the batch's
+        own byte count prices them.
         """
-
-        def _entry(name: str, seconds: float) -> ScaledKernel:
-            return ScaledKernel(
-                name=name,
-                seconds=seconds,
-                gbps=cell.gbps(seconds),
-                regime=batch_kr.timing.regime,
-                tex_hit_rate=batch_kr.counters.texture_hit_rate,
-                avg_conflict_degree=batch_kr.counters.avg_conflict_degree,
-                warps_per_sm=batch_kr.occupancy.warps_per_sm,
-                matches=cell.matches,
-                counters=counter_summary(batch_kr),
+        kernels = {
+            name: launch_entry(
+                batch_kr, name, seconds, cell.gbps(seconds), cell.matches
             )
-
-        kernels: Dict[str, ScaledKernel] = {
-            "steady": _entry("steady", cell.steady_seconds),
-            "during_swap": _entry("during_swap", cell.during_swap_seconds),
+            for name, seconds in (
+                ("steady", cell.steady_seconds),
+                ("during_swap", cell.during_swap_seconds),
+            )
         }
-        serial = self._serial_baseline(dfa, batch)
+        serial, serial_mt = cpu_baselines(dfa, batch, cell.total_bytes)
         return CellResult(
             size_label=f"swapdip_batch{cell.batch_size}",
             paper_bytes=cell.total_bytes,
@@ -393,9 +350,7 @@ class SwapBenchmark:
             n_patterns=cell.n_patterns,
             n_states=dfa.n_states,
             serial=serial,
-            serial_mt=multicore_cost(
-                serial, self.cpu, n_cores=self.mt_workers
-            ),
+            serial_mt=serial_mt,
             kernels=kernels,
         )
 

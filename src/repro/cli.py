@@ -18,53 +18,128 @@ Device summary and a one-off match::
 
     repro-ac device
     repro-ac match --patterns-file dict.txt --text-file input.bin
+
+Every command exits 0 when it passes, 1 when a gate fails and 2 on bad
+input (see :func:`main`).
 """
 
 from __future__ import annotations
 
 import argparse
+import operator
 import sys
 from typing import List, Optional, Tuple
 
 from repro.bench.calibrate import calibration_report
 from repro.bench.experiments import ABLATIONS, FIGURES, run_figure
-from repro.bench.runner import ExperimentRunner
+from repro.bench.runner import KERNEL_NAMES, ExperimentRunner
 from repro.compress.backend import DEFAULT_BACKEND, STT_BACKENDS
+from repro.errors import ExperimentError, ReproError, SchemaError
 from repro.gpu.config import gtx285
 from repro.matcher import BACKENDS
+from repro.resilience import FaultKind
 from repro.resilience.pipeline import DEFAULT_CHAIN
 from repro.workload.datasets import PAPER_PATTERN_COUNTS, PAPER_SIZES
 
 
-def _parse_sizes(value: Optional[str]) -> List[str]:
-    if not value:
-        return list(PAPER_SIZES)
-    return [s.strip() for s in value.split(",") if s.strip()]
+class Values:
+    """argparse type: a comma list whose items are each parsed and checked.
+
+    Each item is checked against *choices* (its text) if given, cast
+    with *cast*, and held to every bound given: ``ge`` (>=), ``gt``
+    (>), ``le`` (<=) and ``lt`` (<).  ``one=True`` takes exactly one
+    item and returns it bare.  A failed check is an argparse usage
+    error that names the flag (exit 2).
+    """
+
+    _OPS = (("ge", ">=", operator.ge), ("gt", ">", operator.gt),
+            ("le", "<=", operator.le), ("lt", "<", operator.lt))
+
+    def __init__(self, cast=str, *, choices=None, one=False,
+                 ge=None, gt=None, le=None, lt=None):
+        self.cast = cast
+        self.choices = choices
+        self.one = one
+        given = dict(ge=ge, gt=gt, le=le, lt=lt)
+        self.bounds = [(sym, op, given[name]) for name, sym, op in self._OPS
+                       if given[name] is not None]
+
+    def __call__(self, text: str):
+        items = [s.strip() for s in text.split(",") if s.strip()]
+        if not items or (self.one and len(items) > 1):
+            expected = "one value" if self.one else "a comma list"
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        values = [self._check(item) for item in items]
+        return values[0] if self.one else values
+
+    def _check(self, item: str):
+        if self.choices is not None and item not in self.choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {item!r} (choose from "
+                f"{', '.join(self.choices)})"
+            )
+        try:
+            value = self.cast(item)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {self.cast.__name__} value: {item!r}"
+            ) from None
+        if not all(op(value, bound) for _, op, bound in self.bounds):
+            rule = " and ".join(f"{sym} {bound}" for sym, _, bound in self.bounds)
+            raise argparse.ArgumentTypeError(
+                f"{item} is out of range (must be {rule})"
+            )
+        return value
 
 
-def _parse_counts(value: Optional[str]) -> List[int]:
-    if not value:
-        return list(PAPER_PATTERN_COUNTS)
-    return [int(s) for s in value.split(",") if s.strip()]
+_SIZES = Values(choices=tuple(PAPER_SIZES))
+_SIZE = Values(choices=tuple(PAPER_SIZES), one=True)
+#: Pattern counts, byte sizes, batch sizes, repeats, trials and iterations.
+_COUNTS = Values(int, ge=1)
+_COUNT = Values(int, ge=1, one=True)
+_SCALE = Values(float, gt=0, le=1, one=True)
+_WORKERS = Values(int, ge=0, one=True)
+_KINDS = Values(FaultKind, choices=tuple(k.value for k in FaultKind))
+
+
+def _threshold(spec: str) -> Tuple[str, Tuple[int, float]]:
+    """argparse type of ``--threshold METRIC=FRAC``: the perfdiff override
+    ``(metric, (direction, fraction))``, keeping the metric's direction."""
+    from repro.obs.perfdiff import DEFAULT_THRESHOLDS
+
+    name, sep, value = spec.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected METRIC=FRAC, got {spec!r}")
+    if name not in DEFAULT_THRESHOLDS:
+        raise argparse.ArgumentTypeError(
+            f"unknown metric {name!r}; known: "
+            f"{', '.join(sorted(DEFAULT_THRESHOLDS))}"
+        )
+    direction, _ = DEFAULT_THRESHOLDS[name]
+    return name, (direction, Values(float, one=True)(value))
 
 
 def _read_inputs(
     patterns_file: str, text_file: Optional[str] = None
-) -> Optional[Tuple[List[str], Optional[bytes]]]:
+) -> Tuple[List[str], Optional[bytes]]:
     """The non-blank lines of *patterns_file* and the bytes of
-    *text_file* (None when not given), or None after printing
-    ``error: ...`` when either cannot be read."""
+    *text_file* (None when not given)."""
+    with open(patterns_file, "r", encoding="latin-1") as fh:
+        patterns = [line.rstrip("\n") for line in fh if line.strip()]
+    if text_file is None:
+        return patterns, None
+    with open(text_file, "rb") as fh:
+        return patterns, fh.read()
+
+
+def _write(collector, path: str, **blocks) -> dict:
+    """Write *collector*'s BENCH document to *path* (see
+    :meth:`~repro.obs.BenchCollector.write_json`); a document that
+    drifts from the schema fails the command's gate."""
     try:
-        with open(patterns_file, "r", encoding="latin-1") as fh:
-            patterns = [line.rstrip("\n") for line in fh if line.strip()]
-        text = None
-        if text_file is not None:
-            with open(text_file, "rb") as fh:
-                text = fh.read()
-    except OSError as exc:
-        print(f"error: {exc}")
-        return None
-    return patterns, text
+        return collector.write_json(path, **blocks)
+    except SchemaError as exc:
+        raise ExperimentError(f"schema drift: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,10 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
     for fid in fig_ids:
         spec = (FIGURES | ABLATIONS)[fid]
         fp = sub.add_parser(fid, help=spec.title)
-        fp.add_argument("--sizes", help="comma list, e.g. 1MB,10MB")
-        fp.add_argument("--patterns", help="comma list, e.g. 100,1000")
+        fp.set_defaults(handler=_cmd_figure)
         fp.add_argument(
-            "--scale", type=float, default=0.01,
+            "--sizes", type=_SIZES, default=list(PAPER_SIZES),
+            help="comma list, e.g. 1MB,10MB",
+        )
+        fp.add_argument(
+            "--patterns", type=_COUNTS, default=list(PAPER_PATTERN_COUNTS),
+            help="comma list, e.g. 100,1000",
+        )
+        fp.add_argument(
+            "--scale", type=_SCALE, default=0.01,
             help="functional-simulation scale (default 0.01)",
         )
         fp.add_argument("--seed", type=int, default=2013)
@@ -96,46 +178,61 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     cal = sub.add_parser("calibrate", help="paper-vs-model band report")
-    cal.add_argument("--scale", type=float, default=0.01)
+    cal.set_defaults(handler=_cmd_calibrate)
+    cal.add_argument("--scale", type=_SCALE, default=0.01)
     cal.add_argument("--seed", type=int, default=2013)
 
-    sub.add_parser("device", help="print the simulated device parameters")
+    sub.add_parser(
+        "device", help="print the simulated device parameters"
+    ).set_defaults(handler=_cmd_device)
 
     val = sub.add_parser(
         "validate",
         help="cross-validate the analytic timing model against the "
         "discrete-event SIMT scheduler",
     )
-    val.add_argument("--iters", type=int, default=400)
+    val.set_defaults(handler=_cmd_validate)
+    val.add_argument("--iters", type=_COUNT, default=400)
 
     occ = sub.add_parser(
         "occupancy", help="sweep shared-kernel launch geometries"
     )
-    occ.add_argument("--patterns", type=int, default=1000)
-    occ.add_argument("--size", default="10MB")
-    occ.add_argument("--scale", type=float, default=0.01)
+    occ.set_defaults(handler=_cmd_occupancy)
+    occ.add_argument("--patterns", type=_COUNT, default=1000)
+    occ.add_argument("--size", type=_SIZE, default="10MB")
+    occ.add_argument("--scale", type=_SCALE, default=0.01)
 
     comp = sub.add_parser(
         "compress", help="STT compression report (banded + bitmap)"
     )
-    comp.add_argument("--patterns", type=int, default=1000)
+    comp.set_defaults(handler=_cmd_compress)
+    comp.add_argument("--patterns", type=_COUNT, default=1000)
 
     dot = sub.add_parser(
         "dot", help="emit a Graphviz rendering of an automaton"
     )
+    dot.set_defaults(handler=_cmd_dot)
     dot.add_argument("--patterns-file", required=True)
     dot.add_argument("--no-failure-edges", action="store_true")
 
     exp = sub.add_parser(
         "export", help="write every results figure to CSV files"
     )
+    exp.set_defaults(handler=_cmd_export)
     exp.add_argument("--outdir", required=True)
-    exp.add_argument("--scale", type=float, default=0.01)
+    exp.add_argument("--scale", type=_SCALE, default=0.01)
     exp.add_argument("--seed", type=int, default=2013)
-    exp.add_argument("--sizes", help="comma list, e.g. 1MB,10MB")
-    exp.add_argument("--patterns", help="comma list, e.g. 100,1000")
+    exp.add_argument(
+        "--sizes", type=_SIZES, default=list(PAPER_SIZES),
+        help="comma list, e.g. 1MB,10MB",
+    )
+    exp.add_argument(
+        "--patterns", type=_COUNTS, default=list(PAPER_PATTERN_COUNTS),
+        help="comma list, e.g. 100,1000",
+    )
 
     m = sub.add_parser("match", help="run the shared kernel on your own data")
+    m.set_defaults(handler=_cmd_match)
     m.add_argument("--patterns-file", required=True,
                    help="one pattern per line")
     m.add_argument("--text-file", required=True, help="input bytes")
@@ -153,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "fallback) and print its health report",
     )
     m.add_argument(
-        "--chain", default=",".join(DEFAULT_CHAIN),
+        "--chain", type=Values(choices=BACKENDS),
+        default=",".join(DEFAULT_CHAIN),
         help="resilient fallback chain, comma list (default "
         f"{','.join(DEFAULT_CHAIN)})",
     )
@@ -176,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on a single backoff sleep in seconds (default 1.0)",
     )
     m.add_argument(
-        "--inject", default=None,
+        "--inject", type=_KINDS,
         help="comma list of fault kinds to inject (testing aid), e.g. "
         "stt_bitflip,launch_failure; see 'repro-ac campaign' for kinds",
     )
@@ -199,12 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="scan your data and emit the metrics registry (JSON and/or "
         "Prometheus text exposition)",
     )
+    st.set_defaults(handler=_cmd_stats)
     st.add_argument("--patterns-file", required=True,
                     help="one pattern per line")
     st.add_argument("--text-file", required=True, help="input bytes")
     st.add_argument("--backend", default="gpu", choices=BACKENDS)
     st.add_argument(
-        "--workers", type=int, default=0,
+        "--workers", type=_WORKERS, default=0,
         help="thread count for --backend serial_mt (0 = one per usable core)",
     )
     st.add_argument("--case-insensitive", action="store_true")
@@ -223,14 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="run benchmark smoke cells with a collector attached and "
         "write a schema-validated BENCH_*.json trajectory",
     )
+    be.set_defaults(handler=_cmd_bench)
     be.add_argument(
-        "--figures", default="fig13,fig18",
+        "--figures", type=Values(choices=fig_ids), default="fig13,fig18",
         help="comma list of figure ids to smoke (default fig13,fig18)",
     )
-    be.add_argument("--sizes", default="1MB", help="comma list (default 1MB)")
-    be.add_argument("--patterns", default="100,1000",
+    be.add_argument("--sizes", type=_SIZES, default="1MB",
+                    help="comma list (default 1MB)")
+    be.add_argument("--patterns", type=_COUNTS, default="100,1000",
                     help="comma list (default 100,1000)")
-    be.add_argument("--scale", type=float, default=0.005)
+    be.add_argument("--scale", type=_SCALE, default=0.005)
     be.add_argument("--seed", type=int, default=2013)
     be.add_argument(
         "--stt-backend", default=DEFAULT_BACKEND, choices=STT_BACKENDS,
@@ -249,19 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
         "schema-validated bench cells and gates on a minimum "
         "compression ratio",
     )
+    cpb.set_defaults(handler=_cmd_compressbench)
     cpb.add_argument(
-        "--patterns", default="5000,20000,50000",
+        "--patterns", type=_COUNTS, default="5000,20000,50000",
         help="comma list of rule-set sizes (default 5000,20000,50000)",
     )
     cpb.add_argument(
-        "--backends", default="compact,banded,bitmap",
+        "--backends", type=Values(choices=STT_BACKENDS),
+        default="compact,banded,bitmap",
         help="comma list of STT backends to sweep "
         "(default compact,banded,bitmap)",
     )
-    cpb.add_argument("--scale", type=float, default=0.005)
+    cpb.add_argument("--scale", type=_SCALE, default=0.005)
     cpb.add_argument("--seed", type=int, default=2013)
     cpb.add_argument(
-        "--size", default="1MB",
+        "--size", type=_SIZE, default="1MB",
         help="input size label for the throughput cells (default 1MB)",
     )
     cpb.add_argument(
@@ -271,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 4.0; 0 disables)",
     )
     cpb.add_argument(
-        "--gate-patterns", type=int, default=20000,
+        "--gate-patterns", type=_COUNT, default=20000,
         help="rule-set size the --min-ratio gate applies to "
         "(default 20000)",
     )
@@ -288,16 +391,17 @@ def build_parser() -> argparse.ArgumentParser:
         "cell, report measured-vs-modeled speedup, and optionally gate "
         "on a minimum measured speedup",
     )
-    cb.add_argument("--size", default="100MB",
+    cb.set_defaults(handler=_cmd_cpubench)
+    cb.add_argument("--size", type=_SIZE, default="100MB",
                     help="cell size label (default 100MB)")
-    cb.add_argument("--patterns", type=int, default=1000,
+    cb.add_argument("--patterns", type=_COUNT, default=1000,
                     help="dictionary size (default 1000)")
-    cb.add_argument("--workers", type=int, default=0,
+    cb.add_argument("--workers", type=_WORKERS, default=0,
                     help="thread count (0 = one per usable core)")
-    cb.add_argument("--repeats", type=int, default=3,
+    cb.add_argument("--repeats", type=_COUNT, default=3,
                     help="timing repeats, min taken (default 3)")
     cb.add_argument(
-        "--scale", type=float, default=0.16,
+        "--scale", type=_SCALE, default=0.16,
         help="sim scale: scanned bytes = size x scale (default "
         "100MB x 0.16 = the 16 MB bench cell the perf gate uses)",
     )
@@ -314,17 +418,19 @@ def build_parser() -> argparse.ArgumentParser:
         "through every kernel under a wall-clock budget and write "
         "schema-validated bench cells with runner wall-clock metadata",
     )
-    ps.add_argument("--size", default="200MB",
+    ps.set_defaults(handler=_cmd_paperscale)
+    ps.add_argument("--size", type=_SIZE, default="200MB",
                     help="cell size label (default 200MB)")
-    ps.add_argument("--patterns", type=int, default=20000,
+    ps.add_argument("--patterns", type=_COUNT, default=20000,
                     help="dictionary size (default 20000)")
     ps.add_argument(
-        "--kernels", default="serial,serial_mt,global,shared,pfac",
+        "--kernels", type=Values(choices=KERNEL_NAMES),
+        default="serial,serial_mt,global,shared,pfac",
         help="comma list of kernels/baselines to run "
         "(default serial,serial_mt,global,shared,pfac)",
     )
     ps.add_argument(
-        "--scale", type=float, default=0.16,
+        "--scale", type=_SCALE, default=0.16,
         help="sim scale: scanned bytes = size x scale (default 0.16, "
         "the perf-gate geometry: 200MB x 0.16 = a 32 MB sim cell)",
     )
@@ -349,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report the per-launch ProfileReport (text, JSON, or a "
         "Perfetto-loadable trace.json)",
     )
+    prof.set_defaults(handler=_cmd_profile)
     prof.add_argument(
         "--kernel", default="shared_mem",
         choices=["shared_mem", "global_only", "pfac", "multi_gpu"],
@@ -359,11 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared-memory store scheme (shared_mem/multi_gpu only; "
         "default diagonal)",
     )
-    prof.add_argument("--size", default="1MB",
+    prof.add_argument("--size", type=_SIZE, default="1MB",
                       help="synthetic input size label (default 1MB)")
-    prof.add_argument("--patterns", type=int, default=1000,
+    prof.add_argument("--patterns", type=_COUNT, default=1000,
                       help="synthetic dictionary size (default 1000)")
-    prof.add_argument("--scale", type=float, default=0.01)
+    prof.add_argument("--scale", type=_SCALE, default=0.01)
     prof.add_argument("--seed", type=int, default=2013)
     prof.add_argument(
         "--patterns-file", default=None,
@@ -391,10 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="diff two BENCH_*.json documents with noise-aware "
         "thresholds; exit 1 if any metric regressed",
     )
+    pd.set_defaults(handler=_cmd_perfdiff)
     pd.add_argument("baseline", help="baseline BENCH_*.json path")
     pd.add_argument("current", help="current BENCH_*.json path")
     pd.add_argument(
-        "--threshold", action="append", default=[],
+        "--threshold", type=_threshold, action="append", default=[],
         metavar="METRIC=FRAC",
         help="override a relative threshold, e.g. --threshold gbps=0.2 "
         "or --threshold counters.achieved_gbps=0.05 (repeatable; the "
@@ -406,18 +514,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="batched scan serving: sweep the pipelined scheduler vs the "
         "per-request loop, optionally with a demo walkthrough",
     )
+    sv.set_defaults(handler=_cmd_serve)
     sv.add_argument(
         "--demo", action="store_true",
         help="also run a narrated scheduler demo (mixed dictionaries, "
         "cache hits, bind reuse, per-batch pipeline timings)",
     )
     sv.add_argument(
-        "--batch-sizes", default="1,2,4,8,16",
+        "--batch-sizes", type=_COUNTS, default="1,2,4,8,16",
         help="comma list of batch sizes to sweep (default 1,2,4,8,16)",
     )
-    sv.add_argument("--patterns", type=int, default=100,
+    sv.add_argument("--patterns", type=_COUNT, default=100,
                     help="dictionary size (default 100)")
-    sv.add_argument("--text-bytes", type=int, default=4096,
+    sv.add_argument("--text-bytes", type=_COUNT, default=4096,
                     help="bytes per request (default 4096)")
     sv.add_argument("--seed", type=int, default=2013)
     sv.add_argument(
@@ -435,13 +544,14 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run the fault-injection campaign against the serial oracle",
     )
+    camp.set_defaults(handler=_cmd_campaign)
     camp.add_argument(
-        "--trials", type=int, default=40,
+        "--trials", type=_COUNT, default=40,
         help="seeded trials per fault class (default 40)",
     )
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument(
-        "--kinds", default=None,
+        "--kinds", type=_KINDS,
         help="comma list of fault kinds (default: all)",
     )
     camp.add_argument(
@@ -475,6 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="zero-downtime rule reload: narrated epoch-swap demo plus "
         "the rebuild-vs-churn and swap-throughput-dip benchmarks",
     )
+    hs.set_defaults(handler=_cmd_hotswap)
     hs.add_argument(
         "--demo", action="store_true",
         help="narrate a register -> delta swap -> fault abort -> "
@@ -482,24 +593,25 @@ def build_parser() -> argparse.ArgumentParser:
         "admitted versions",
     )
     hs.add_argument(
-        "--patterns", type=int, default=2000,
+        "--patterns", type=_COUNT, default=2000,
         help="dictionary size for the dip family (default 2000)",
     )
     hs.add_argument(
-        "--rebuild-patterns", type=int, default=20000,
+        "--rebuild-patterns", type=_COUNT, default=20000,
         help="dictionary size for the rebuild family (default 20000, "
         "the acceptance scale)",
     )
     hs.add_argument(
-        "--churns", default="0.001,0.005,0.01,0.05",
+        "--churns", type=Values(float, gt=0, lt=1),
+        default="0.001,0.005,0.01,0.05",
         help="comma list of churn fractions for the rebuild family",
     )
     hs.add_argument(
-        "--batch-sizes", default="4,8,16",
+        "--batch-sizes", type=_COUNTS, default="4,8,16",
         help="comma list of batch sizes for the dip family",
     )
     hs.add_argument(
-        "--repeats", type=int, default=3,
+        "--repeats", type=_COUNT, default=3,
         help="wall-clock repeats per rebuild cell, min taken (default 3)",
     )
     hs.add_argument(
@@ -526,6 +638,7 @@ def build_parser() -> argparse.ArgumentParser:
         "queue-wait vs pipeline decomposition, and burn-rate alerting "
         "over a seeded multi-tenant run",
     )
+    slo.set_defaults(handler=_cmd_slo)
     slo.add_argument(
         "--demo", action="store_true",
         help="narrate the seeded burn episode (steady -> burst -> "
@@ -543,11 +656,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument("--seed", type=int, default=2013)
     slo.add_argument(
-        "--burst-factor", type=int, default=5,
+        "--burst-factor", type=Values(int, ge=2, one=True), default=5,
         help="victim load multiplier during burst windows (default 5)",
     )
     slo.add_argument(
-        "--text-bytes", type=int, default=512,
+        "--text-bytes", type=_COUNT, default=512,
         help="bytes per request payload (default 512)",
     )
     slo.add_argument(
@@ -562,14 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_figure(fid: str, args) -> int:
+def _cmd_figure(args) -> int:
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-    table = run_figure(
-        fid, runner, _parse_sizes(args.sizes), _parse_counts(args.patterns)
-    )
+    table = run_figure(args.command, runner, args.sizes, args.patterns)
     if args.csv:
         print(table.to_csv())
-    elif getattr(args, "chart", False):
+    elif args.chart:
         from repro.analysis import figure_chart, trend_summary
 
         print(figure_chart(table))
@@ -577,6 +688,17 @@ def _cmd_figure(fid: str, args) -> int:
         print(trend_summary(table))
     else:
         print(table.render())
+    return 0
+
+
+def _cmd_calibrate(args) -> int:
+    print(calibration_report(ExperimentRunner(scale=args.scale, seed=args.seed)))
+    return 0
+
+
+def _cmd_device(args) -> int:
+    for k, v in gtx285().describe().items():
+        print(f"{k:>18}: {v}")
     return 0
 
 
@@ -607,16 +729,13 @@ def _cmd_occupancy(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    from repro.compress import BandedSTT, BitmapDeltaSTT
-    from repro.core import AhoCorasickAutomaton, DFA
+    from repro.core import DFA
     from repro.workload.datasets import DatasetFactory
 
     factory = DatasetFactory(scale=0.01)
-    patterns = factory.patterns_for(args.patterns)
-    ac = AhoCorasickAutomaton.build(patterns)
-    dfa = DFA.from_automaton(ac)
-    banded = BandedSTT.from_stt(dfa.stt)
-    bitmap = BitmapDeltaSTT.from_automaton(ac)
+    dfa = DFA.build(factory.patterns_for(args.patterns))
+    banded = dfa.gather_table("banded").table
+    bitmap = dfa.gather_table("bitmap").table
     bs, ms = banded.stats(), bitmap.stats()
     print(f"{args.patterns} patterns, {dfa.n_states} states")
     print(f"dense STT : {bs.dense_bytes / 2**20:8.2f} MiB")
@@ -633,11 +752,9 @@ def _cmd_export(args) -> int:
     import os
 
     runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-    sizes = _parse_sizes(args.sizes)
-    counts = _parse_counts(args.patterns)
     os.makedirs(args.outdir, exist_ok=True)
     for fid in sorted(FIGURES):
-        table = run_figure(fid, runner, sizes, counts)
+        table = run_figure(fid, runner, args.sizes, args.patterns)
         path = os.path.join(args.outdir, f"{fid}.csv")
         with open(path, "w", encoding="ascii") as fh:
             fh.write(table.to_csv() + "\n")
@@ -649,64 +766,41 @@ def _cmd_dot(args) -> int:
     from repro.core import AhoCorasickAutomaton, PatternSet
     from repro.core.visualize import to_dot
 
-    inputs = _read_inputs(args.patterns_file)
-    if inputs is None:
-        return 2
-    patterns, _ = inputs
+    patterns, _ = _read_inputs(args.patterns_file)
     ac = AhoCorasickAutomaton.build(PatternSet.from_strings(patterns))
     print(to_dot(ac, include_failure_edges=not args.no_failure_edges))
     return 0
 
 
-def _cmd_match_resilient(args, patterns, text) -> int:
+def _cmd_match_resilient(args, patterns, text, tracer) -> int:
     from repro.core import PatternSet
-    from repro.errors import ReproError
     from repro.resilience import (
-        FaultInjector,
-        FaultKind,
-        FaultPlan,
         Fault,
+        FaultInjector,
+        FaultPlan,
         ResilientMatcher,
     )
 
     injector = None
     if args.inject:
-        try:
-            faults = [
-                Fault(
-                    kind=FaultKind(tok.strip()),
-                    seed=args.inject_seed,
-                    persistent=args.inject_persistent,
-                )
-                for tok in args.inject.split(",")
-                if tok.strip()
-            ]
-        except ValueError:
-            valid = ", ".join(k.value for k in FaultKind)
-            print(f"error: unknown fault kind in --inject {args.inject!r}; "
-                  f"valid kinds: {valid}")
-            return 2
-        injector = FaultInjector(FaultPlan(faults))
-    chain = tuple(s.strip() for s in args.chain.split(",") if s.strip())
-    tracer = None
-    if getattr(args, "trace", False):
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    try:
-        rm = ResilientMatcher(
-            PatternSet.from_strings(patterns),
-            chain=chain,
-            max_retries=args.retries,
-            backoff_cap=args.backoff_max,
-            backoff_jitter=args.backoff_jitter,
-            backoff_seed=args.backoff_seed,
-            injector=injector,
-            tracer=tracer,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return 2
+        injector = FaultInjector(FaultPlan([
+            Fault(
+                kind=kind,
+                seed=args.inject_seed,
+                persistent=args.inject_persistent,
+            )
+            for kind in args.inject
+        ]))
+    rm = ResilientMatcher(
+        PatternSet.from_strings(patterns),
+        chain=tuple(args.chain),
+        max_retries=args.retries,
+        backoff_cap=args.backoff_max,
+        backoff_jitter=args.backoff_jitter,
+        backoff_seed=args.backoff_seed,
+        injector=injector,
+        tracer=tracer,
+    )
     try:
         result, health = rm.scan_with_health(text)
     except Exception as exc:
@@ -735,20 +829,8 @@ def _cmd_serve(args) -> int:
     from repro.bench.serve_bench import ServeBenchmark, render_sweep
     from repro.obs import BenchCollector, Metrics, Tracer
 
-    try:
-        batch_sizes = [
-            int(s) for s in args.batch_sizes.split(",") if s.strip()
-        ]
-    except ValueError:
-        print(f"error: --batch-sizes expects a comma list of ints, got "
-              f"{args.batch_sizes!r}")
-        return 2
-    if not batch_sizes or any(b < 1 for b in batch_sizes):
-        print("error: --batch-sizes needs at least one size >= 1")
-        return 2
     if args.trace_out and not args.demo:
-        print("error: --trace-out requires --demo")
-        return 2
+        raise ReproError("--trace-out requires --demo")
 
     if args.demo:
         from repro.core import PatternSet
@@ -816,28 +898,31 @@ def _cmd_serve(args) -> int:
         text_bytes=args.text_bytes,
         collector=collector,
     )
-    cells = bench.run(batch_sizes)
+    cells = bench.run(args.batch_sizes)
     print(render_sweep(cells))
     if collector is not None:
-        collector.write_json(args.out)
+        _write(collector, args.out)
         print(f"wrote {args.out} ({len(cells)} batch cells)")
     worst = min(
         (c.speedup for c in cells if c.batch_size >= 8), default=None
     )
     if worst is not None and worst < 1.5:
-        print(f"FAIL: scheduler speedup {worst:.2f}x < 1.5x at batch >= 8")
-        return 1
+        raise ExperimentError(
+            f"scheduler speedup {worst:.2f}x < 1.5x at batch >= 8"
+        )
     return 0
 
 
 def _cmd_slo(args) -> int:
-    from repro.bench.slo_bench import SloBenchmark, render_dashboard
-    from repro.errors import ExperimentError
+    from repro.bench.slo_bench import (
+        BURST_WINDOWS,
+        RECOVERY_WINDOWS,
+        STEADY_WINDOWS,
+        SloBenchmark,
+        render_dashboard,
+    )
     from repro.obs import BenchCollector
 
-    if args.burst_factor < 2:
-        print("error: --burst-factor must be >= 2 (no burst, no episode)")
-        return 2
     collector = BenchCollector(label="slo") if args.out else None
     bench = SloBenchmark(
         seed=args.seed,
@@ -851,10 +936,10 @@ def _cmd_slo(args) -> int:
             "timeline"
         )
         print(
-            f"  steady {bench.steady_windows} windows -> burst "
-            f"{bench.burst_windows} windows ({bench.tenants[0].name} at "
+            f"  steady {STEADY_WINDOWS} windows -> burst "
+            f"{BURST_WINDOWS} windows ({bench.tenants[0].name} at "
             f"{args.burst_factor}x load) -> recovery "
-            f"{bench.recovery_windows} windows"
+            f"{RECOVERY_WINDOWS} windows"
         )
         p99 = bench.policy.objective("request_p99")
         print(
@@ -864,11 +949,7 @@ def _cmd_slo(args) -> int:
             f"{bench.policy.burn.fire_burn}x fast+slow, clears < "
             f"{bench.policy.burn.clear_burn}x\n"
         )
-    try:
-        report = bench.run()
-    except ExperimentError as exc:
-        print(f"FAIL: {exc}")
-        return 1
+    report = bench.run()
     print(render_dashboard(report))
     if args.events:
         print("\nevent log:")
@@ -879,38 +960,20 @@ def _cmd_slo(args) -> int:
         print("\nstatusz:")
         print(_json.dumps(report.status, indent=2, default=str))
     if collector is not None:
-        collector.write_json(args.out)
+        _write(collector, args.out)
         print(f"\nwrote {args.out} ({len(collector.records)} slo cells)")
     if report.breached:
-        print("FAIL: SLO breached at end of run")
-        return 1
+        raise ExperimentError("SLO breached at end of run")
     return 0
 
 
 def _cmd_campaign(args) -> int:
-    from repro.resilience import SWAP_FAULT_KINDS, FaultKind, run_campaign
+    from repro.resilience import SWAP_FAULT_KINDS, run_campaign
 
-    if args.trials < 1:
-        print("error: --trials must be >= 1 (a 0-trial campaign would "
-              "hold its invariant vacuously)")
-        return 2
     if args.swap and args.kinds:
-        print("error: --swap and --kinds are mutually exclusive")
-        return 2
-    kinds = None
-    if args.swap:
-        kinds = list(SWAP_FAULT_KINDS)
-    elif args.kinds:
-        try:
-            kinds = [FaultKind(tok.strip()) for tok in args.kinds.split(",")
-                     if tok.strip()]
-        except ValueError:
-            valid = ", ".join(k.value for k in FaultKind)
-            print(f"error: unknown fault kind in --kinds {args.kinds!r}; "
-                  f"valid kinds: {valid}")
-            return 2
+        raise ReproError("--swap and --kinds are mutually exclusive")
     report = run_campaign(
-        kinds=kinds,
+        kinds=list(SWAP_FAULT_KINDS) if args.swap else args.kinds,
         trials_per_kind=args.trials,
         seed=args.seed,
         max_retries=args.retries,
@@ -924,8 +987,7 @@ def _cmd_campaign(args) -> int:
 
 def _hotswap_demo() -> None:
     from repro.core.delta import PatternDelta
-    from repro.errors import ReproError
-    from repro.resilience import Fault, FaultInjector, FaultKind, FaultPlan
+    from repro.resilience import Fault, FaultInjector, FaultPlan
     from repro.serve import EpochManager, ScanScheduler
 
     print("demo: register -> delta swap -> fault abort -> rollback")
@@ -970,26 +1032,7 @@ def _cmd_hotswap(args) -> int:
         render_dip_cells,
         render_rebuild_cells,
     )
-    from repro.errors import ExperimentError
     from repro.obs import BenchCollector
-
-    try:
-        churns = [float(s) for s in args.churns.split(",") if s.strip()]
-        batch_sizes = [
-            int(s) for s in args.batch_sizes.split(",") if s.strip()
-        ]
-    except ValueError:
-        print("error: --churns / --batch-sizes expect comma lists of "
-              "numbers")
-        return 2
-    if not batch_sizes or any(b < 1 for b in batch_sizes):
-        print("error: --batch-sizes needs at least one size >= 1")
-        return 2
-    if not args.skip_rebuild and (
-        not churns or any(not 0.0 < c < 1.0 for c in churns)
-    ):
-        print("error: --churns needs fractions in (0, 1)")
-        return 2
 
     if args.demo:
         _hotswap_demo()
@@ -1004,23 +1047,19 @@ def _cmd_hotswap(args) -> int:
     if not args.skip_rebuild:
         print(f"rebuild-vs-churn (wall clock, {args.rebuild_patterns} "
               f"patterns, min of {args.repeats}):")
-        try:
-            rebuild_cells = bench.run_rebuild_cells(
-                churns,
-                repeats=args.repeats,
-                min_speedup=args.min_speedup or None,
-            )
-        except ExperimentError as exc:
-            print(f"FAIL: {exc}")
-            return 1
+        rebuild_cells = bench.run_rebuild_cells(
+            args.churns,
+            repeats=args.repeats,
+            min_speedup=args.min_speedup or None,
+        )
         print(render_rebuild_cells(rebuild_cells))
         print()
     print(f"swap throughput dip (modeled, {args.patterns} patterns, "
           f"budget {bench.dip_budget:.0%}):")
-    dip_cells = bench.run_dip_cells(batch_sizes)
+    dip_cells = bench.run_dip_cells(args.batch_sizes)
     print(render_dip_cells(dip_cells))
     if collector is not None:
-        collector.write_json(args.out)
+        _write(collector, args.out)
         print(f"wrote {args.out} ({len(dip_cells)} dip cells)")
     return 0
 
@@ -1032,18 +1071,12 @@ def _cmd_match(args) -> int:
         run_pfac_kernel,
         run_shared_kernel,
     )
+    from repro.obs import Tracer
 
-    inputs = _read_inputs(args.patterns_file, args.text_file)
-    if inputs is None:
-        return 2
-    patterns, text = inputs
+    patterns, text = _read_inputs(args.patterns_file, args.text_file)
+    tracer = Tracer() if args.trace else None
     if args.resilient:
-        return _cmd_match_resilient(args, patterns, text)
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
+        return _cmd_match_resilient(args, patterns, text, tracer)
     dfa = DFA.build(PatternSet.from_strings(patterns))
     kernel = {
         "shared": run_shared_kernel,
@@ -1074,10 +1107,7 @@ def _cmd_stats(args) -> int:
     from repro.matcher import Matcher
     from repro.obs import Metrics, Tracer
 
-    inputs = _read_inputs(args.patterns_file, args.text_file)
-    if inputs is None:
-        return 2
-    patterns, text = inputs
+    patterns, text = _read_inputs(args.patterns_file, args.text_file)
     metrics = Metrics()
     tracer = Tracer()
     matcher = Matcher(
@@ -1116,13 +1146,9 @@ def _cmd_profile(args) -> int:
     from repro.obs.traceexport import write_chrome_trace
 
     if (args.patterns_file is None) != (args.text_file is None):
-        print("error: --patterns-file and --text-file go together")
-        return 2
+        raise ReproError("--patterns-file and --text-file go together")
     if args.patterns_file is not None:
-        inputs = _read_inputs(args.patterns_file, args.text_file)
-        if inputs is None:
-            return 2
-        patterns, data = inputs
+        patterns, data = _read_inputs(args.patterns_file, args.text_file)
         dfa = DFA.build(PatternSet.from_strings(patterns))
     else:
         from repro.workload.datasets import DatasetFactory
@@ -1158,49 +1184,18 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_perfdiff(args) -> int:
-    from repro.errors import ReproError
-    from repro.obs.perfdiff import DEFAULT_THRESHOLDS, diff_files
+    from repro.obs.perfdiff import diff_files
 
-    overrides = {}
-    for spec in args.threshold:
-        name, sep, value = spec.partition("=")
-        if not sep:
-            print(f"error: --threshold expects METRIC=FRAC, got {spec!r}")
-            return 2
-        if name not in DEFAULT_THRESHOLDS:
-            print(f"error: unknown metric {name!r}; known: "
-                  f"{', '.join(sorted(DEFAULT_THRESHOLDS))}")
-            return 2
-        direction, _ = DEFAULT_THRESHOLDS[name]
-        overrides[name] = (direction, float(value))
-    try:
-        report = diff_files(
-            args.baseline, args.current,
-            thresholds=overrides or None,
-        )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}")
-        return 2
-    except (ReproError, ValueError) as exc:
-        # SchemaError (version/field drift) or unparseable JSON.
-        print(f"error: {exc}")
-        return 2
+    report = diff_files(
+        args.baseline, args.current, thresholds=dict(args.threshold) or None
+    )
     print(report.render())
     return 0 if report.ok else 1
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench.experiments import run_figure
-    from repro.errors import SchemaError
-    from repro.obs import BenchCollector, validate_bench_document
+    from repro.obs import BenchCollector
 
-    fids = [s.strip() for s in args.figures.split(",") if s.strip()]
-    known = FIGURES | ABLATIONS
-    for fid in fids:
-        if fid not in known:
-            print(f"error: unknown figure id {fid!r}; "
-                  f"choose from {', '.join(sorted(known))}")
-            return 2
     collector = BenchCollector()
     runner = ExperimentRunner(
         scale=args.scale,
@@ -1208,18 +1203,10 @@ def _cmd_bench(args) -> int:
         collector=collector,
         stt_backend=args.stt_backend,
     )
-    sizes = _parse_sizes(args.sizes)
-    counts = _parse_counts(args.patterns)
-    for fid in fids:
-        run_figure(fid, runner, sizes, counts)
+    for fid in args.figures:
+        run_figure(fid, runner, args.sizes, args.patterns)
         print(f"ran {fid}: {len(collector.records)} cells collected so far")
-    try:
-        doc = collector.as_document()
-        validate_bench_document(doc)
-    except SchemaError as exc:
-        print(f"schema drift: {exc}")
-        return 1
-    collector.write_json(args.out)
+    doc = _write(collector, args.out)
     print(f"wrote {args.out} "
           f"({len(doc['cells'])} cells, schema {doc['schema']} "
           f"v{doc['version']})")
@@ -1227,44 +1214,39 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compressbench(args) -> int:
-    from repro.bench.compress_bench import run_compress_bench
-    from repro.errors import ExperimentError
+    from repro.bench.compress_bench import (
+        ratio_gate,
+        render_cells,
+        run_compress_bench,
+    )
+    from repro.obs import BenchCollector
 
-    counts = [int(s) for s in args.patterns.split(",") if s.strip()]
-    backends = [s.strip() for s in args.backends.split(",") if s.strip()]
-    try:
-        report = run_compress_bench(
-            pattern_counts=counts,
-            backends=backends,
-            scale=args.scale,
-            seed=args.seed,
-            size_label=args.size,
-            min_ratio=args.min_ratio,
-            gate_patterns=args.gate_patterns,
-            out=args.out,
-        )
-    except ExperimentError as exc:
-        print(f"FAIL: {exc}")
-        return 1
-    print(report)
+    collector = BenchCollector(label="compress-bench")
+    cells = run_compress_bench(
+        pattern_counts=args.patterns,
+        backends=args.backends,
+        scale=args.scale,
+        seed=args.seed,
+        size_label=args.size,
+        collector=collector,
+    )
+    # Written before the gate, so a failed gate still leaves the cells.
+    if args.out is not None:
+        _write(collector, args.out)
+    print(
+        "compress-bench: synthetic snort contents, "
+        f"text={args.size}, scale={args.scale}, seed={args.seed}"
+    )
+    print(render_cells(cells, reference_backend=args.backends[0]))
+    print(ratio_gate(cells, args.gate_patterns, args.min_ratio))
     return 0
 
 
 def _cmd_paperscale(args) -> int:
-    import json
     import platform
     import time
 
-    from repro.bench.runner import KERNEL_NAMES
-    from repro.errors import ReproError
-    from repro.obs import BenchCollector, validate_bench_document
-
-    kernels = tuple(s.strip() for s in args.kernels.split(",") if s.strip())
-    unknown = set(kernels) - set(KERNEL_NAMES)
-    if unknown:
-        print(f"error: unknown kernels {sorted(unknown)}; "
-              f"valid: {', '.join(KERNEL_NAMES)}")
-        return 2
+    from repro.obs import BenchCollector
 
     collector = BenchCollector(label="paperscale")
     runner = ExperimentRunner(
@@ -1276,42 +1258,32 @@ def _cmd_paperscale(args) -> int:
     sim_mb = runner.factory.sim_bytes_for(PAPER_SIZES[args.size]) / 1e6
     print(
         f"paperscale: {args.size} x {args.patterns} patterns "
-        f"(sim {sim_mb:.1f} MB), kernels: {', '.join(kernels)}"
+        f"(sim {sim_mb:.1f} MB), kernels: {', '.join(args.kernels)}"
     )
     t0 = time.perf_counter()
-    try:
-        cell = runner.run_cell(args.size, args.patterns, kernels)
-    except ReproError as exc:
-        print(f"FAIL: {exc}")
-        return 1
+    cell = runner.run_cell(args.size, args.patterns, args.kernels)
     wall = time.perf_counter() - t0
 
     print(f"  n_states={cell.n_states}, wall-clock {wall:.1f}s")
-    for name in kernels:
+    for name in args.kernels:
         print(
             f"  {name:>12}: {cell.seconds(name):10.4f} s modeled, "
             f"{cell.gbps(name):8.2f} Gbps at paper scale"
         )
-    doc = collector.as_document()
     # Grid-generation cost: tracked next to the modeled numbers so perf
     # PRs can regress on runner wall-clock, not just modeled
-    # throughput.  Validators tolerate unknown top-level keys.
-    doc["wall_clock"] = {
+    # throughput.
+    doc = _write(collector, args.out, wall_clock={
         "grid_seconds": round(wall, 3),
         "host": platform.machine() or "unknown",
         "sim_bytes": int(cell.sim_bytes),
-    }
-    validate_bench_document(doc)
-    with open(args.out, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     print(f"wrote {args.out} ({len(doc['cells'])} cell)")
     if args.budget_seconds > 0 and wall > args.budget_seconds:
-        print(
-            f"FAIL: grid wall-clock {wall:.1f}s exceeds the "
+        raise ExperimentError(
+            f"grid wall-clock {wall:.1f}s exceeds the "
             f"--budget-seconds {args.budget_seconds:.0f}s budget"
         )
-        return 1
     return 0
 
 
@@ -1341,62 +1313,31 @@ def _cmd_cpubench(args) -> int:
         f"measured/modeled = {meas.speedup / modeled:.2f})"
     )
     if args.min_speedup > 0 and meas.speedup < args.min_speedup:
-        print(
-            f"FAIL: measured speedup {meas.speedup:.2f}x is below the "
+        raise ExperimentError(
+            f"measured speedup {meas.speedup:.2f}x is below the "
             f"--min-speedup {args.min_speedup:.2f}x gate"
         )
-        return 1
     return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point: 0 pass, 1 failed gate, 2 bad input.
+
+    argparse rejects a malformed flag (exit 2, usage on stderr).  A
+    gate failing raises :class:`~repro.errors.ExperimentError` (``FAIL:
+    ...``, exit 1); any other typed error or an ``OSError``, such as an
+    unreadable input or an unwritable ``--out``, is bad input
+    (``error: ...``, exit 2).
+    """
     args = build_parser().parse_args(argv)
-    if args.command in FIGURES or args.command in ABLATIONS:
-        return _cmd_figure(args.command, args)
-    if args.command == "calibrate":
-        runner = ExperimentRunner(scale=args.scale, seed=args.seed)
-        print(calibration_report(runner))
-        return 0
-    if args.command == "device":
-        for k, v in gtx285().describe().items():
-            print(f"{k:>18}: {v}")
-        return 0
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "occupancy":
-        return _cmd_occupancy(args)
-    if args.command == "compress":
-        return _cmd_compress(args)
-    if args.command == "export":
-        return _cmd_export(args)
-    if args.command == "dot":
-        return _cmd_dot(args)
-    if args.command == "match":
-        return _cmd_match(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "compressbench":
-        return _cmd_compressbench(args)
-    if args.command == "cpubench":
-        return _cmd_cpubench(args)
-    if args.command == "paperscale":
-        return _cmd_paperscale(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "perfdiff":
-        return _cmd_perfdiff(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "slo":
-        return _cmd_slo(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    if args.command == "hotswap":
-        return _cmd_hotswap(args)
-    return 2  # pragma: no cover - argparse guards
+    try:
+        return args.handler(args)
+    except ExperimentError as exc:
+        print(f"FAIL: {exc}")
+        return 1
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

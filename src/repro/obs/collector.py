@@ -203,11 +203,18 @@ class BenchCollector:
         validate_bench_document(doc)
         return doc
 
-    def write_json(self, path: str) -> None:
-        """Write the document (validated) to *path*."""
+    def write_json(self, path: str, **blocks: Any) -> Dict[str, Any]:
+        """Write the document (validated) to *path* and return it.
+
+        Each keyword adds one extra top-level block (validators tolerate
+        unknown top-level keys), such as paperscale's ``wall_clock``.
+        """
+        doc = self.as_document()
+        doc.update(blocks)
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.as_document(), fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return doc
 
 
 def _check_type(value: Any, expect: type, where: str, errors: List[str]) -> None:

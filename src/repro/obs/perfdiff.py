@@ -328,11 +328,19 @@ def diff_files(
     *,
     thresholds: Optional[Dict[str, Tuple[int, float]]] = None,
 ) -> PerfDiffReport:
-    """File-path convenience wrapper around :func:`diff_documents`."""
+    """File-path convenience wrapper around :func:`diff_documents`.
+
+    A file that is not an ASCII JSON document raises
+    :class:`~repro.errors.SchemaError`; one that cannot be opened, the
+    ``OSError``.
+    """
     import json
 
-    with open(baseline_path, "r", encoding="ascii") as fh:
-        baseline = json.load(fh)
-    with open(current_path, "r", encoding="ascii") as fh:
-        current = json.load(fh)
-    return diff_documents(baseline, current, thresholds=thresholds)
+    docs = []
+    for path in (baseline_path, current_path):
+        with open(path, "r", encoding="ascii") as fh:
+            try:
+                docs.append(json.load(fh))
+            except ValueError as exc:
+                raise SchemaError(f"{path}: not a JSON document: {exc}") from exc
+    return diff_documents(*docs, thresholds=thresholds)

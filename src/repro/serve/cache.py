@@ -23,14 +23,11 @@ Keying rules (docs/MODEL.md §8):
   build of the same patterns are *different automata*;
 * pattern order matters — ids are positional and results carry
   pattern ids, so a reordered dictionary is a different entry;
-* the resident key additionally carries the ``stt_backend`` the entry
-  serves (dense/compact/banded/bitmap, :mod:`repro.compress.backend`):
-  the same digest under two backends is two entries, each aging on its
-  own in the LRU.  No entry pre-builds a gather table: a table is built
-  where it is first read (a device bind fuses its copy straight from the
-  verified dense STT; a CPU scan memoizes the backend's table on the
-  DFA).  The *digest* itself stays backend-free — it names the
-  automaton's content, not its storage layout.
+* the storage backend is not part of the key: an entry holds the DFA
+  and its row CRCs and pre-builds no gather table, so one entry serves
+  every backend.  A table is built where it is first read (a device
+  bind fuses its copy straight from the verified dense STT; a CPU scan
+  memoizes the backend's table on the DFA).
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compress.backend import DEFAULT_BACKEND, resolve_backend
 from repro.core.dfa import DFA
 from repro.core.integrity import stt_row_checksums, verify_row_checksums
 from repro.core.pattern_set import PatternSet
@@ -80,9 +76,6 @@ class CacheEntry:
     #: with :meth:`AutomatonCache.touch` instead.
     row_checksums: np.ndarray
     case_insensitive: bool
-    #: STT storage backend this entry serves; part of the resident key
-    #: (same digest + different backend are distinct entries).
-    stt_backend: str = DEFAULT_BACKEND
     hits: int = 0
 
     def verify(self) -> None:
@@ -119,9 +112,7 @@ class AutomatonCache:
         self.capacity = capacity
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._entries: "OrderedDict[Tuple[str, str], CacheEntry]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -131,22 +122,16 @@ class AutomatonCache:
         return len(self._entries)
 
     def __contains__(self, digest: str) -> bool:
-        """True when *digest* is resident under **any** backend."""
-        return any(d == digest for d, _ in self._entries)
+        """True when *digest* is resident."""
+        return digest in self._entries
 
     @property
     def digests(self) -> Tuple[str, ...]:
-        """Resident digests, least-recently-used first.
+        """Resident digests, least-recently-used first."""
+        return tuple(self._entries)
 
-        A digest resident under several backends appears once per
-        backend entry (each ages independently in the LRU).
-        """
-        return tuple(d for d, _ in self._entries)
-
-    def get(
-        self, digest: str, *, stt_backend: str = DEFAULT_BACKEND
-    ) -> Optional[CacheEntry]:
-        """The verified entry for ``(digest, stt_backend)``, or None.
+    def get(self, digest: str) -> Optional[CacheEntry]:
+        """The verified entry for *digest*, or None.
 
         A host table is verified before anything reads it, so every hit
         is re-checked against the entry's build-time row CRCs — the
@@ -156,14 +141,13 @@ class AutomatonCache:
         fresh, correct automaton — self-healing instead of wedging every
         future request on that digest.
         """
-        key = (digest, resolve_backend(stt_backend))
-        entry = self._entries.get(key)
+        entry = self._entries.get(digest)
         if entry is None:
             return None
         try:
             entry.verify()
         except IntegrityError:
-            del self._entries[key]
+            del self._entries[digest]
             self.corrupt_evictions += 1
             self.metrics.counter(
                 "automaton_cache_corrupt_evictions_total",
@@ -174,12 +158,10 @@ class AutomatonCache:
                 "automaton_cache_entries", "resident cached automata"
             ).set(len(self._entries))
             return None
-        self.touch(digest, stt_backend=key[1])
+        self.touch(digest)
         return entry
 
-    def touch(
-        self, digest: str, *, stt_backend: str = DEFAULT_BACKEND
-    ) -> bool:
+    def touch(self, digest: str) -> bool:
         """A :meth:`get` hit without the row-CRC pass; False if absent.
 
         For a consumer that reads no host table, such as a scheduler
@@ -187,11 +169,10 @@ class AutomatonCache:
         entry.  The LRU order, hit counters, metric and ``cache_hit``
         event move as on a :meth:`get` hit.
         """
-        key = (digest, resolve_backend(stt_backend))
-        entry = self._entries.get(key)
+        entry = self._entries.get(digest)
         if entry is None:
             return False
-        self._entries.move_to_end(key)
+        self._entries.move_to_end(digest)
         entry.hits += 1
         self.hits += 1
         self.metrics.counter(
@@ -205,7 +186,6 @@ class AutomatonCache:
         patterns: Union[Sequence, PatternSet],
         *,
         case_insensitive: bool = False,
-        stt_backend: str = DEFAULT_BACKEND,
     ) -> Tuple[CacheEntry, bool]:
         """``(entry, was_hit)`` for a dictionary, building on miss.
 
@@ -218,11 +198,10 @@ class AutomatonCache:
         the dense STT these checksums cover, and a CPU scan builds (and
         memoizes on the DFA) the backend's table on its first read.
         """
-        backend = resolve_backend(stt_backend)
         if not isinstance(patterns, PatternSet):
             patterns = PatternSet(patterns)
         digest = patterns.digest(case_insensitive)
-        entry = self.get(digest, stt_backend=backend)
+        entry = self.get(digest)
         if entry is not None:
             return entry, True
         self.misses += 1
@@ -237,7 +216,6 @@ class AutomatonCache:
             "cache_build",
             digest=digest[:12],
             n_patterns=len(patterns),
-            stt_backend=backend,
         ) as sp:
             dfa = DFA.build(patterns)
             entry = CacheEntry(
@@ -245,12 +223,11 @@ class AutomatonCache:
                 dfa=dfa,
                 row_checksums=stt_row_checksums(dfa.stt),
                 case_insensitive=case_insensitive,
-                stt_backend=backend,
             )
             sp.set(n_states=dfa.n_states)
-        self._entries[(digest, backend)] = entry
+        self._entries[digest] = entry
         while len(self._entries) > self.capacity:
-            (evicted, _), _ = self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
             self.evictions += 1
             self.metrics.counter(
                 "automaton_cache_evictions_total", "automaton cache evictions"

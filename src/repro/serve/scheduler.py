@@ -41,7 +41,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.compress.backend import DEFAULT_BACKEND, resolve_backend
 from repro.core.match import MatchResult
 from repro.core.pattern_set import PatternSet
 from repro.errors import ReproError
@@ -220,7 +219,11 @@ class ScanScheduler:
         Capacity of the private cache when ``cache`` is not given.
     max_batch:
         Largest number of requests fused into one kernel buffer; a
-        digest group with more pending requests is split.
+        digest group with more pending requests is split.  Every
+        matcher binds the ``compact`` STT backend; a gpu batch's texture
+        accounting keeps 4 B per lockstep cell of the concatenated
+        buffer (about 4 B per input byte, plus the chunk overlap) until
+        its scan ends.
     device_config:
         Hardware config for GPU batches (default GTX 285).
     injector:
@@ -236,16 +239,6 @@ class ScanScheduler:
         only the latest launch's report — the pipeline model prices
         kernel slices from the batch's observed launch and reads
         nothing older.
-    stt_backend:
-        STT storage backend (dense/compact/banded/bitmap) for every
-        matcher this scheduler builds; also part of the automaton
-        cache's resident key, so two schedulers sharing one cache
-        under different backends never serve each other's tables.
-        Default ``compact``, the cache's default too.  Each resident
-        matcher's device holds its backend's gather arrays, and a gpu
-        batch's texture accounting keeps 4 B per lockstep cell of the
-        concatenated buffer (about 4 B per input byte, plus the chunk
-        overlap) until its scan ends.
     epochs:
         Optional :class:`~repro.serve.epoch.EpochManager` enabling the
         named-submission path (:meth:`submit_named`): a request
@@ -281,7 +274,6 @@ class ScanScheduler:
         tracer=None,
         metrics=None,
         profiler=None,
-        stt_backend: str = DEFAULT_BACKEND,
         epochs: Optional[EpochManager] = None,
         clock: Callable[[], float] = time.monotonic,
         slo=None,
@@ -296,10 +288,6 @@ class ScanScheduler:
             raise ReproError(f"max_batch must be >= 1, got {max_batch}")
         self.backend = backend
         self.max_batch = max_batch
-        # Resolved once; every cache lookup/build and every matcher this
-        # scheduler constructs uses the same STT storage backend, so the
-        # cache's (digest, backend) keys stay coherent per scheduler.
-        self.stt_backend = resolve_backend(stt_backend)
         self.device_config = device_config
         self.injector = injector
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -552,7 +540,7 @@ class ScanScheduler:
             and matcher.device.texture is not None
             and (
                 lease is not None
-                or self.cache.touch(digest, stt_backend=self.stt_backend)
+                or self.cache.touch(digest)
             )
         ):
             return matcher, True, True
@@ -560,7 +548,6 @@ class ScanScheduler:
             entry, hit = self.cache.get_or_build(
                 request.patterns,
                 case_insensitive=request.case_insensitive,
-                stt_backend=self.stt_backend,
             )
             dfa = entry.dfa
         else:
@@ -574,7 +561,6 @@ class ScanScheduler:
             tracer=self.tracer,
             metrics=self.metrics,
             profiler=self.profiler,
-            stt_backend=self.stt_backend,
         )
         if self.backend == "gpu":
             from repro.gpu.device import Device

@@ -55,7 +55,8 @@ class TestParser:
         args = build_parser().parse_args(
             ["fig18", "--sizes", "1MB,10MB", "--patterns", "100", "--csv"]
         )
-        assert args.sizes == "1MB,10MB"
+        assert args.sizes == ["1MB", "10MB"]
+        assert args.patterns == [100]
         assert args.csv
 
     def test_unknown_command_exits(self):
@@ -349,12 +350,31 @@ class TestBenchCommand:
         assert "wrote" in capsys.readouterr().out
 
     def test_unknown_figure_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--figures", "fig99",
+                  "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--figures" in err and "fig99" in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_schema_drift_fails_the_gate(self, tmp_path, capsys, monkeypatch):
+        import repro.obs.collector as collector_mod
+        from repro.errors import SchemaError
+
+        def drifted(doc):
+            raise SchemaError("cells[0].n_states: expected int")
+
+        monkeypatch.setattr(collector_mod, "validate_bench_document", drifted)
+        out_path = tmp_path / "BENCH_drift.json"
         rc = main(
-            ["bench", "--figures", "fig99",
-             "--out", str(tmp_path / "x.json")]
+            ["bench", "--figures", "fig13", "--sizes", "50KB",
+             "--patterns", "100", "--scale", "0.001",
+             "--out", str(out_path)]
         )
-        assert rc == 2
-        assert "unknown figure" in capsys.readouterr().out
+        assert rc == 1
+        assert "FAIL: schema drift: cells[0].n_states" in capsys.readouterr().out
+        assert not out_path.exists()
 
     def test_fig13_cells_carry_both_cpu_baselines(self, tmp_path):
         """fig13/fig18 cells commit with non-null serial_mt slots."""
@@ -373,6 +393,72 @@ class TestBenchCommand:
             assert cell["serial_mt"] is not None
             assert cell["serial_mt"]["workers"] == 4
             assert cell["serial_mt"]["seconds"] < cell["serial"]["seconds"]
+
+
+class TestCompressbenchCommand:
+    def test_failed_ratio_gate_still_writes_the_document(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import validate_bench_document
+
+        out_path = tmp_path / "BENCH_compress.json"
+        rc = main(
+            ["compressbench", "--patterns", "200", "--gate-patterns", "200",
+             "--backends", "compact,banded", "--min-ratio", "1000",
+             "--out", str(out_path)]
+        )
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "FAIL: gate: best compressed ratio @ 200 patterns" in out
+        doc = json.loads(out_path.read_text())
+        validate_bench_document(doc)
+        assert [c["size_label"] for c in doc["cells"]] == [
+            "snortc200_compact", "snortc200_banded",
+        ]
+
+
+#: Malformed lists and ranges, each with the flag its usage error names.
+MALFORMED = [
+    ("fig13 --patterns 1x", "--patterns"),
+    ("fig13 --sizes 3MB", "--sizes"),
+    ("export --outdir {tmp} --sizes 3MB", "--sizes"),
+    ("bench --sizes 3MB", "--sizes"),
+    ("compressbench --patterns 5k", "--patterns"),
+    ("compressbench --backends dense,foo", "--backends"),
+    ("paperscale --size 300MB", "--size"),
+    ("cpubench --size 3MB", "--size"),
+    ("occupancy --size 3MB", "--size"),
+    ("profile --size 3MB", "--size"),
+    ("calibrate --scale 0", "--scale"),
+    ("cpubench --workers -1", "--workers"),
+    ("cpubench --repeats 0", "--repeats"),
+    ("serve --patterns 0", "--patterns"),
+    ("serve --text-bytes 0", "--text-bytes"),
+    ("occupancy --patterns 0", "--patterns"),
+    ("slo --text-bytes 0", "--text-bytes"),
+    ("hotswap --repeats 0", "--repeats"),
+    ("validate --iters 0", "--iters"),
+]
+
+
+class TestMalformedInput:
+    """A malformed list or range is a usage error before any work runs:
+    exit 2, one message naming the flag, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag", MALFORMED, ids=[argv for argv, _ in MALFORMED]
+    )
+    def test_usage_error_names_the_flag(self, tmp_path, capsys, argv, flag):
+        outdir = tmp_path / "csv"
+        with pytest.raises(SystemExit) as exc:
+            main(shlex.split(argv.format(tmp=outdir)))
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" not in err
+        (message,) = [line for line in err.splitlines() if "error:" in line]
+        assert f"argument {flag}:" in message
+        assert not outdir.exists()
 
 
 class TestCpubenchCommand:

@@ -184,3 +184,28 @@ class TestMulticore:
         assert cell.seconds("serial_mt") < cell.seconds("serial")
         # The GPU still beats the 4-core chip (the paper's larger point).
         assert cell.seconds("shared") < cell.seconds("serial_mt")
+
+
+class TestPinnedBaselines:
+    """The runner and the swap bench price CPU baselines through one
+    function; both keep the exact seconds they committed before."""
+
+    def test_fig13_cell(self):
+        from repro.bench.runner import ExperimentRunner
+
+        cell = ExperimentRunner(scale=0.005).run_cell(
+            "1MB", 100, ("serial", "serial_mt")
+        )
+        assert repr(cell.serial.seconds) == "0.006363636363636364"
+        assert repr(cell.serial_mt.seconds) == "0.0019886363636363634"
+
+    def test_swapdip_batch4_cell(self):
+        from repro.bench.swap_bench import SwapBenchmark
+        from repro.obs import BenchCollector
+
+        collector = BenchCollector()
+        SwapBenchmark(n_patterns=200, collector=collector).run_dip_cell(4)
+        (cell,) = collector.records
+        assert cell.size_label == "swapdip_batch4"
+        assert repr(cell.serial["seconds"]) == "0.00020852363636363636"
+        assert repr(cell.serial_mt["seconds"]) == "6.516363636363636e-05"

@@ -71,21 +71,18 @@ class TestRunCell:
         # mutating one after a run returned the stale cell.
         runner = ExperimentRunner(scale=0.001, seed=99)
         a = runner.run_cell("50KB", 100, kernels=("shared",))
-        runner.shared_chunk_bytes = 32
+        runner.wave_correction = True
         b = runner.run_cell("50KB", 100, kernels=("shared",))
         assert a is not b
         assert a.seconds("shared") != b.seconds("shared")
-        runner.wave_correction = True
-        c = runner.run_cell("50KB", 100, kernels=("shared",))
-        assert c is not b
         g1 = runner.run_cell("50KB", 100, kernels=("global",))
-        runner.global_chunk_len = 1024
+        runner.stt_backend = "bitmap"
         g2 = runner.run_cell("50KB", 100, kernels=("global",))
         assert g2 is not g1
+        assert g2.stt["backend"] == "bitmap"
         # Restoring the original knobs finds the original cell again.
-        runner.shared_chunk_bytes = 64
         runner.wave_correction = False
-        runner.global_chunk_len = 512
+        runner.stt_backend = "compact"
         assert runner.run_cell("50KB", 100, kernels=("shared",)) is a
 
     def test_dfa_cache_shared_across_sizes(self, runner):

@@ -130,7 +130,10 @@ class TestHotswapCli:
         assert "rebuild-vs-churn" in capsys.readouterr().out
 
     def test_bad_churns_exit_2(self, capsys):
-        assert main(["hotswap", "--churns", "2.0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["hotswap", "--churns", "2.0"])
+        assert exc.value.code == 2
+        assert "--churns" in capsys.readouterr().err
 
     def test_campaign_swap_flag(self, capsys):
         rc = main(["campaign", "--swap", "--trials", "2", "--seed", "3"])

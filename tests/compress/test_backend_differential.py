@@ -234,13 +234,19 @@ class TestHotSwapDifferential:
     def test_scan_across_swap(self, backend):
         before, after = self._oracle(self.V1), self._oracle(self.V2)
         mgr = EpochManager()
-        sched = ScanScheduler(
-            backend="gpu", stt_backend=backend, epochs=mgr
-        )
+        sched = ScanScheduler(backend="gpu", epochs=mgr)
+
+        def scan_active():
+            dfa = mgr.active("ids").built.dfa
+            m = Matcher.from_dfa(dfa, backend="gpu", stt_backend=backend)
+            return [m.scan(t) for t in self.TEXTS]
+
         mgr.register("ids", self.V1)
         assert sched.scan_many_named("ids", self.TEXTS) == before
+        assert scan_active() == before
         mgr.swap("ids", patterns=self.V2)
         assert sched.scan_many_named("ids", self.TEXTS) == after
+        assert scan_active() == after
         # And the old-epoch results were not retroactively corrupted:
         assert sched.scan_many_named("ids", self.TEXTS) == after
 

@@ -92,7 +92,6 @@ class TestLru:
             type(e0), "verify", lambda entry: verified.append(entry)
         )
         assert cache.touch(e0.digest)  # refresh 0; 1 becomes LRU
-        assert not cache.touch(e0.digest, stt_backend="bitmap")
         assert verified == []
         assert (cache.hits, e0.hits) == (1, 1)
         assert [r.name for r in tracer.roots].count("cache_hit") == 1

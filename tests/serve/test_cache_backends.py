@@ -1,19 +1,19 @@
-"""AutomatonCache keying on ``stt_backend`` (docs/MODEL.md §8).
+"""AutomatonCache under several STT backends (docs/MODEL.md §8).
 
-The resident key is ``(digest, backend)``: the digest names the
-automaton's *content* (patterns + fold flag, backend-free), the
-backend names the *storage layout* the entry pre-materialized.  The
-same dictionary under two backends must be two entries — a hit hands
-back exactly the gather table the consumer will scan through — and
-every hit still re-verifies the dense STT's build-time row CRCs, so a
-cached entry is byte-identical to a fresh build or it is evicted.
+The resident key is the pattern-set digest alone: the digest names the
+automaton's *content* (patterns + fold flag), and an entry holds the
+DFA and its row CRCs but no gather table, so one entry serves every
+storage backend.  A backend's table is built where it is first read and
+memoized on the entry's DFA; every hit still re-verifies the dense
+STT's build-time row CRCs, so a cached entry is byte-identical to a
+fresh build or it is evicted.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serve.cache import AutomatonCache, pattern_set_digest
+from repro.serve.cache import AutomatonCache
 
 PATTERNS = ["he", "she", "his", "hers"]
 
@@ -28,82 +28,26 @@ def _flip_bit(entry, row=1, col=7):
         table.setflags(write=False)
 
 
-class TestCompositeKeying:
-    def test_same_digest_different_backend_no_collision(self):
-        cache = AutomatonCache(capacity=8)
-        e_compact, hit1 = cache.get_or_build(PATTERNS, stt_backend="compact")
-        e_bitmap, hit2 = cache.get_or_build(PATTERNS, stt_backend="bitmap")
-        assert not hit1 and not hit2  # second backend is NOT a hit
-        assert e_compact is not e_bitmap
-        assert e_compact.digest == e_bitmap.digest  # digest is backend-free
-        assert e_compact.stt_backend == "compact"
-        assert e_bitmap.stt_backend == "bitmap"
-        assert len(cache) == 2
-        # both resident under one digest
-        assert cache.digests.count(e_compact.digest) == 2
-
-    def test_repeat_lookup_per_backend_hits(self):
-        cache = AutomatonCache(capacity=8)
-        e1, _ = cache.get_or_build(PATTERNS, stt_backend="banded")
-        e2, hit = cache.get_or_build(PATTERNS, stt_backend="banded")
-        assert hit and e2 is e1
-        assert cache.hits == 1 and cache.misses == 1
-        digest = pattern_set_digest(PATTERNS)
-        assert cache.get(digest, stt_backend="banded") is e1
-        assert cache.get(digest, stt_backend="bitmap") is None
-
-    def test_digest_is_backend_free(self):
-        """pattern_set_digest has no backend input at all — the same
-        patterns digest identically however they will be stored."""
-        d = pattern_set_digest(PATTERNS)
-        cache = AutomatonCache(capacity=8)
-        for be in ("dense", "compact", "banded", "bitmap"):
-            entry, _ = cache.get_or_build(PATTERNS, stt_backend=be)
-            assert entry.digest == d
-        assert len(cache) == 4
-        assert d in cache  # __contains__ matches any backend
-
-    def test_default_backend_is_consistent(self):
-        """Positional legacy API: get() and get_or_build() default to
-        the same backend, so a build is findable without kwargs."""
-        cache = AutomatonCache(capacity=8)
-        entry, _ = cache.get_or_build(PATTERNS)
-        assert cache.get(entry.digest) is entry
-
-    def test_default_warm_cache_serves_default_scheduler(self):
-        """Cache and scheduler share one default backend: a cache warmed
-        with default arguments is hit, not rebuilt, by a default
-        ScanScheduler."""
-        from repro.serve import ScanScheduler
-
-        cache = AutomatonCache(capacity=8)
-        cache.get_or_build(PATTERNS)
-        sched = ScanScheduler(cache=cache)
-        sched.submit(PATTERNS, b"ushers")
-        sched.drain()
-        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
-
-
 class TestHitVerification:
     def test_hit_re_verifies_byte_identity(self):
         """Corrupting the cached dense STT makes the *next* hit fail
-        CRC verification and evict — only that backend's entry."""
+        CRC verification and evict — only that dictionary's entry."""
         cache = AutomatonCache(capacity=8)
-        e_banded, _ = cache.get_or_build(PATTERNS, stt_backend="banded")
-        e_bitmap, _ = cache.get_or_build(PATTERNS, stt_backend="bitmap")
-        _flip_bit(e_banded)  # bit rot in one entry
-        digest = e_banded.digest
-        assert cache.get(digest, stt_backend="banded") is None
+        entry, _ = cache.get_or_build(PATTERNS)
+        other, _ = cache.get_or_build(["virus", "worm"])
+        entry.dfa.gather_table("bitmap")
+        _flip_bit(entry)  # bit rot in one entry
+        assert cache.get(entry.digest) is None
         assert cache.corrupt_evictions == 1
-        # the sibling backend entry is untouched and still verifies
-        assert cache.get(digest, stt_backend="bitmap") is e_bitmap
+        # the other entry is untouched and still verifies
+        assert cache.get(other.digest) is other
         assert len(cache) == 1
 
     def test_rebuild_after_corrupt_eviction_is_fresh(self):
         cache = AutomatonCache(capacity=8)
-        entry, _ = cache.get_or_build(PATTERNS, stt_backend="compact")
+        entry, _ = cache.get_or_build(PATTERNS)
         _flip_bit(entry, row=2, col=3)
-        rebuilt, hit = cache.get_or_build(PATTERNS, stt_backend="compact")
+        rebuilt, hit = cache.get_or_build(PATTERNS)
         assert not hit and rebuilt is not entry
         rebuilt.verify()  # fresh build passes its own CRCs
 
@@ -115,7 +59,7 @@ class TestPreMaterialization:
         where it is first read and memoized on the entry's DFA, so
         asking again returns the same object without rebuilding."""
         cache = AutomatonCache(capacity=8)
-        entry, _ = cache.get_or_build(PATTERNS, stt_backend=backend)
+        entry, _ = cache.get_or_build(PATTERNS)
         t1 = entry.dfa.gather_table(backend)
         t2 = entry.dfa.gather_table(backend)
         assert t1 is t2
@@ -123,20 +67,9 @@ class TestPreMaterialization:
 
     @pytest.mark.parametrize("backend", ["dense", "compact", "banded", "bitmap"])
     def test_insert_builds_no_gather_table(self, backend):
+        """An insert builds no table; a first read builds its own only."""
         cache = AutomatonCache(capacity=8)
-        entry, _ = cache.get_or_build(PATTERNS, stt_backend=backend)
+        entry, _ = cache.get_or_build(PATTERNS)
         assert entry.dfa._backends == {} and entry.dfa._compact is None
-
-
-class TestEvictionWithBackends:
-    def test_lru_evicts_per_entry_not_per_digest(self):
-        """Each (digest, backend) entry ages independently."""
-        cache = AutomatonCache(capacity=2)
-        e1, _ = cache.get_or_build(PATTERNS, stt_backend="compact")
-        e2, _ = cache.get_or_build(PATTERNS, stt_backend="bitmap")
-        # touch the compact entry so bitmap is LRU
-        assert cache.get(e1.digest, stt_backend="compact") is e1
-        cache.get_or_build(["other"], stt_backend="compact")
-        assert cache.get(e1.digest, stt_backend="compact") is e1
-        assert cache.get(e2.digest, stt_backend="bitmap") is None
-        assert cache.evictions == 1
+        entry.dfa.gather_table(backend)
+        assert set(entry.dfa._backends) == {backend}

@@ -54,8 +54,11 @@ class TestServeCommand:
         assert "serve_drain" in names
 
     def test_bad_batch_sizes_exit_2(self, capsys):
-        assert main(["serve", "--batch-sizes", "x"]) == 2
-        assert main(["serve", "--batch-sizes", "0"]) == 2
+        for sizes in ("x", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["serve", "--batch-sizes", sizes])
+            assert exc.value.code == 2
+            assert "--batch-sizes" in capsys.readouterr().err
 
     def test_trace_out_requires_demo(self, capsys):
         assert main(["serve", "--trace-out", "t.json"]) == 2

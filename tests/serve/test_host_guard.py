@@ -82,9 +82,7 @@ class Served:
         """Route δ(state after "s", "h") to the root in the DFA's
         compacted memo, the table no CRC covers."""
         if self.path == "anonymous":
-            entry, _ = self.sched.cache.get_or_build(
-                RULES, stt_backend=self.sched.stt_backend
-            )
+            entry, _ = self.sched.cache.get_or_build(RULES)
             dfa = entry.dfa
         else:
             dfa = self.sched.epochs.active("ids").built.dfa
